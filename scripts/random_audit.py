@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Audit the whole verification stack on seeded random graphs.
 
-Each draw is a connected graph on 3..6 vertices with weights c*eps^q,
-c a small positive rational and q in {0, 1/2, 1, 2}.  For every graph
+Each draw is ``random_graph`` of tests/corpus.py: a connected graph on
+3..6 vertices with weights c*eps^q, c a small positive rational and q in
+{0, 1/2, 1, 2}, sometimes with a second term one order up.  For every graph
 the script computes the spectrum and the Cheeger cut, then runs the
 spectral theorem report, the Cheeger estimate report and the convergence
 verdict cross-check.  Any failure prints the offending graph and the
@@ -11,6 +12,7 @@ every check on every graph passes.
 """
 
 import argparse
+import pathlib
 import random
 import sys
 import time
@@ -23,35 +25,12 @@ from lcgraph import (
     compute_spectrum,
     dump_graph,
     h_convergence_verdict,
-    monomial,
     verify_spectral_theorems,
 )
 
-EXPONENTS = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
-
-
-def random_weight(rng: random.Random):
-    q = rng.choice(EXPONENTS)
-    w = monomial(Fraction(rng.randint(1, 5), rng.randint(1, 3)), q)
-    if rng.random() < 0.3:
-        w = w + monomial(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), q + 1)
-    return w
-
-
-def random_graph(rng: random.Random, n_min: int, n_max: int) -> OFGraph:
-    n = rng.randint(n_min, n_max)
-    names = [str(i + 1) for i in range(n)]
-    pairs = set()
-    # a random spanning tree keeps every draw connected
-    for v in range(1, n):
-        pairs.add((rng.randrange(v), v))
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (u, v) not in pairs and rng.random() < 0.3:
-                pairs.add((u, v))
-    triples = [(names[u], names[v], random_weight(rng))
-               for (u, v) in sorted(pairs)]
-    return OFGraph.from_edges(triples, vertices=names)
+# the draw is the test corpus's; tests/ is not a package
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+from corpus import random_graph  # noqa: E402
 
 
 def audit_one(g: OFGraph, trunc: Fraction) -> list:

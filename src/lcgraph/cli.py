@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import ExitStack
 from fractions import Fraction
 from typing import Tuple
 
 from .cheeger import cheeger_constant, cheeger_inequality_check
-from .config import NUMERIC_MODE, RunConfig, parse_trunc
 from .errors import LCGraphError
 from .graphs import dump_graph, load_function, load_graph
 from .selfcheck import run_selfcheck
-from .series import NUMERIC, RATIONAL, format_series, set_numeric_precision, truncation
+from .series import NUMERIC, format_series, set_numeric_precision, truncation
 from .spectral import compute_spectrum, verify_spectral_theorems
 from .walks import h_convergence_verdict, iterate
 
@@ -29,24 +29,20 @@ def _series(x) -> str:
     return format_series(x, digits=DISPLAY_DIGITS)
 
 
-def _load(path: str, cfg: RunConfig):
-    mode = NUMERIC if cfg.coeff_mode == NUMERIC_MODE else RATIONAL
-    return load_graph(path, mode=mode)
-
-
-def _lift_mode(cfg: RunConfig) -> str:
+def _spectrum(g, args):
     # rational inputs may still need numeric root lifting; "auto" retries
-    return "numeric" if cfg.coeff_mode == NUMERIC_MODE else "auto"
+    mode = NUMERIC if args.mode == NUMERIC else "auto"
+    return compute_spectrum(g, trunc_order=args.trunc, mode=mode)
 
 
-def cmd_spectrum(args, cfg: RunConfig) -> Tuple[str, int]:
-    g = _load(args.graph, cfg)
-    spec = compute_spectrum(g, trunc_order=cfg.trunc_order, mode=_lift_mode(cfg))
+def cmd_spectrum(args) -> Tuple[str, int]:
+    g = load_graph(args.graph, mode=args.mode)
+    spec = _spectrum(g, args)
     lines = [f"n = {g.n} ; mode = {spec.mode} ; trunc = {spec.trunc_order} ; "
              f"residual_order = {spec.residual_order}"]
     # pairs are computed at an elevated internal order; display at the
     # order that was asked for
-    t = cfg.trunc_order
+    t = args.trunc
     for pair in spec.pairs:
         coords = ", ".join(_series(pair.function[x].truncate(t)) for x in g.vertices)
         lines.append(f"lambda = {_series(pair.lam.truncate(t))} ; "
@@ -54,10 +50,10 @@ def cmd_spectrum(args, cfg: RunConfig) -> Tuple[str, int]:
     return "\n".join(lines), 0
 
 
-def cmd_cheeger(args, cfg: RunConfig) -> Tuple[str, int]:
-    g = _load(args.graph, cfg)
+def cmd_cheeger(args) -> Tuple[str, int]:
+    g = load_graph(args.graph, mode=args.mode)
     cut = cheeger_constant(g)
-    spec = compute_spectrum(g, trunc_order=cfg.trunc_order, mode=_lift_mode(cfg))
+    spec = _spectrum(g, args)
     rep = cheeger_inequality_check(g, spec, cut)
     lines = [f"h = {_series(cut.h)}",
              "subset = {" + ", ".join(cut.subset) + "}",
@@ -66,11 +62,10 @@ def cmd_cheeger(args, cfg: RunConfig) -> Tuple[str, int]:
     return "\n".join(lines), 0 if rep.passed else 1
 
 
-def cmd_walk(args, cfg: RunConfig) -> Tuple[str, int]:
-    g = _load(args.graph, cfg)
-    mode = NUMERIC if cfg.coeff_mode == NUMERIC_MODE else RATIONAL
-    f = load_function(args.f, g, mode=mode)
-    spec = compute_spectrum(g, trunc_order=cfg.trunc_order, mode=_lift_mode(cfg))
+def cmd_walk(args) -> Tuple[str, int]:
+    g = load_graph(args.graph, mode=args.mode)
+    f = load_function(args.f, g, mode=args.mode)
+    spec = _spectrum(g, args)
     cut = cheeger_constant(g)
     walk_mode = "bipartite" if args.bipartite else "full"
     rep = iterate(g, f, m_max=args.steps, mode=walk_mode, spectrum=spec, cut=cut)
@@ -100,9 +95,9 @@ def cmd_walk(args, cfg: RunConfig) -> Tuple[str, int]:
     return "\n".join(lines), code
 
 
-def cmd_verify(args, cfg: RunConfig) -> Tuple[str, int]:
-    g = _load(args.graph, cfg)
-    spec = compute_spectrum(g, trunc_order=cfg.trunc_order, mode=_lift_mode(cfg))
+def cmd_verify(args) -> Tuple[str, int]:
+    g = load_graph(args.graph, mode=args.mode)
+    spec = _spectrum(g, args)
     spectral_rep = verify_spectral_theorems(g, spec)
     cut = cheeger_constant(g)
     cheeger_rep = cheeger_inequality_check(g, spec, cut)
@@ -116,14 +111,30 @@ def cmd_verify(args, cfg: RunConfig) -> Tuple[str, int]:
     return "\n".join(lines), 0 if ok else 1
 
 
-def cmd_selftest(args, cfg: RunConfig) -> Tuple[str, int]:
-    rep = run_selfcheck(count=args.count, seed=cfg.seed)
+def cmd_selftest(args) -> Tuple[str, int]:
+    rep = run_selfcheck(count=args.count, seed=args.seed)
     return rep.render(), 0 if rep.passed else 1
+
+
+def rational(text: str) -> Fraction:
+    """'8', '17/2' and similar; argparse reports a ValueError as bad input."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(text) from exc
+
+
+def count(text: str) -> int:
+    """A whole number of at least 1, for --steps and --count."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--trunc", type=parse_trunc, default=Fraction(8),
+    common.add_argument("--trunc", type=rational, default=Fraction(8),
                         metavar="Q", help="truncation order, a positive rational "
                         "(default 8)")
     common.add_argument("--mode", choices=("rational", "numeric"),
@@ -157,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--f", required=True, metavar="FILE",
                    help="function file: one 'vertex series' line per vertex")
-    p.add_argument("--steps", type=int, default=8, metavar="M",
+    p.add_argument("--steps", type=count, default=8, metavar="M",
                    help="number of recorded steps (default 8)")
     p.add_argument("--bipartite", action="store_true",
                    help="walk in strides of P^2 against the two-level "
@@ -171,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", parents=[common],
                        help="randomized consistency suite for the series field")
-    p.add_argument("--count", type=int, default=10000,
+    p.add_argument("--count", type=count, default=10000,
                    help="number of randomized checks (default 10000)")
     p.set_defaults(fn=cmd_selftest)
     return parser
@@ -179,19 +190,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = RunConfig(trunc_order=args.trunc, coeff_mode=args.mode,
-                        precision_bits=args.precision, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    set_numeric_precision(cfg.precision_bits)
-    try:
-        with truncation(cfg.trunc_order):
-            text, code = args.fn(args, cfg)
-    except (OSError, LCGraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with ExitStack() as scope:
+        try:
+            # the setters reject --precision below 64 and --trunc <= 0
+            set_numeric_precision(args.precision)
+            scope.enter_context(truncation(args.trunc))
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        try:
+            text, code = args.fn(args)
+        except (OSError, LCGraphError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     print(text)
     return code
 

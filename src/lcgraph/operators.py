@@ -18,13 +18,9 @@ from typing import Tuple
 from .graphs import OFGraph, VertexFunction
 from .series import LCNumber, zero
 
-PROBABILITY = "probability"
-LAPLACIAN = "laplacian"
-
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    kind: str
     vertices: Tuple[str, ...]
     rows: Tuple[Tuple[LCNumber, ...], ...]
 
@@ -36,7 +32,7 @@ class OperatorMatrix:
         return self.rows[i][j]
 
     def to_numeric(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.kind, self.vertices,
+        return OperatorMatrix(self.vertices,
                               tuple(tuple(e.to_numeric() for e in row)
                                     for row in self.rows))
 
@@ -47,7 +43,7 @@ def probability_matrix(g: OFGraph) -> OperatorMatrix:
     for x in g.vertices:
         inv_bx = g.vertex_weight(x).inverse()
         rows.append(tuple(g.weight(x, y) * inv_bx for y in g.vertices))
-    return OperatorMatrix(PROBABILITY, g.vertices, tuple(rows))
+    return OperatorMatrix(g.vertices, tuple(rows))
 
 
 def laplacian_matrix(g: OFGraph) -> OperatorMatrix:
@@ -57,7 +53,7 @@ def laplacian_matrix(g: OFGraph) -> OperatorMatrix:
     for i in range(p.n):
         rows.append(tuple((1 - e if i == j else -e)
                           for j, e in enumerate(p.rows[i])))
-    return OperatorMatrix(LAPLACIAN, g.vertices, tuple(rows))
+    return OperatorMatrix(g.vertices, tuple(rows))
 
 
 def apply(m: OperatorMatrix, f: VertexFunction) -> VertexFunction:

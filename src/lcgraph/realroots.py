@@ -158,7 +158,7 @@ def _cauchy_bound(p: Sequence[Fraction]) -> Fraction:
 _RECONSTRUCT_LIMITS = (1, 16, 10**3, 10**6, 10**12, 10**24)
 
 
-def _squarefree_roots(f: List[Fraction], precision_bits: int) -> List[RealRoot]:
+def _squarefree_roots(f: List[Fraction]) -> List[RealRoot]:
     """All real roots of a square-free rational polynomial, each simple."""
     if len(f) <= 1:
         return []
@@ -177,7 +177,7 @@ def _squarefree_roots(f: List[Fraction], precision_bits: int) -> List[RealRoot]:
         m = (a + b) / 2
         if _eval(f, m) == 0:
             # exact rational root hit mid-split: deflate and redo the rest
-            rest = _squarefree_roots(_divexact(f, [-m, Fraction(1)]), precision_bits)
+            rest = _squarefree_roots(_divexact(f, [-m, Fraction(1)]))
             rest.append(RealRoot(m, 1, True))
             rest.sort(key=lambda r: Fraction(r.value) if r.is_exact else Fraction(str(r.value)))
             return rest
@@ -185,7 +185,7 @@ def _squarefree_roots(f: List[Fraction], precision_bits: int) -> List[RealRoot]:
         queue.append((a, m, nl))
         queue.append((m, b, n - nl))
 
-    width_goal = Fraction(1, 2 ** (precision_bits + 16))
+    width_goal = Fraction(1, 2 ** (lcf.numeric_precision() + 16))
     for a, b in intervals:
         # a single simple root in (a, b]; endpoints are never roots here
         sa = _eval(f, a) > 0
@@ -219,7 +219,7 @@ def _sort_key(r: RealRoot):
     return Fraction(r.value) if r.is_exact else Fraction(str(r.value))
 
 
-def _rational_real_roots(coeffs, precision_bits) -> List[RealRoot]:
+def _rational_real_roots(coeffs) -> List[RealRoot]:
     p = _strip([Fraction(c) for c in coeffs])
     if not p:
         raise LiftError("cannot take roots of the zero polynomial")
@@ -229,7 +229,7 @@ def _rational_real_roots(coeffs, precision_bits) -> List[RealRoot]:
     out = [RealRoot(Fraction(0), k, True)] if k else []
     p = p[k:]
     for factor, mult in square_free_decomposition(p):
-        for r in _squarefree_roots(factor, precision_bits):
+        for r in _squarefree_roots(factor):
             out.append(RealRoot(r.value, mult, r.is_exact))
     out.sort(key=_sort_key)
     return out
@@ -237,11 +237,11 @@ def _rational_real_roots(coeffs, precision_bits) -> List[RealRoot]:
 
 # -- numeric fallback --------------------------------------------------------
 
-def _numeric_real_roots(coeffs, precision_bits) -> List[RealRoot]:
+def _numeric_real_roots(coeffs) -> List[RealRoot]:
     p = [c if isinstance(c, mpmath.mpf) else
          mpmath.mpf(Fraction(c).numerator) / Fraction(c).denominator
          for c in coeffs]
-    tiny = mpmath.mpf(2) ** (-(precision_bits // 2))
+    tiny = lcf.zero_threshold()
     while p and abs(p[-1]) < tiny:
         p.pop()
     if not p:
@@ -252,7 +252,7 @@ def _numeric_real_roots(coeffs, precision_bits) -> List[RealRoot]:
         found = mpmath.polyroots(list(reversed(p)), maxsteps=200, extraprec=80)
     except mpmath.libmp.NoConvergence as exc:
         raise LiftError(f"numeric root finding did not converge: {exc}") from exc
-    cluster_tol = mpmath.mpf(2) ** (-(precision_bits // 3))
+    cluster_tol = mpmath.mpf(2) ** (-(lcf.numeric_precision() // 3))
     reals = sorted(mpmath.re(r) for r in found if abs(mpmath.im(r)) < cluster_tol)
     out: List[RealRoot] = []
     for r in reals:
@@ -265,14 +265,12 @@ def _numeric_real_roots(coeffs, precision_bits) -> List[RealRoot]:
     return out
 
 
-def real_roots(coeffs, precision_bits=None) -> List[RealRoot]:
+def real_roots(coeffs) -> List[RealRoot]:
     """All real roots (with multiplicity) of the given polynomial.
 
     Complex roots are silently absent; callers that require a real-rooted
     polynomial should compare the multiplicity total with the degree.
     """
-    if precision_bits is None:
-        precision_bits = lcf.numeric_precision()
     if any(isinstance(c, (mpmath.mpf, float)) for c in coeffs):
-        return _numeric_real_roots(coeffs, precision_bits)
-    return _rational_real_roots(coeffs, precision_bits)
+        return _numeric_real_roots(coeffs)
+    return _rational_real_roots(coeffs)

@@ -27,14 +27,17 @@ import mpmath
 
 from .errors import GraphValidationError, LiftError, NumericModeRequired
 from .graphs import OFGraph, VertexFunction
-from .operators import (LAPLACIAN, OperatorMatrix, apply, inner,
-                        laplacian_matrix, probability_matrix)
+from .operators import OperatorMatrix, apply, inner, probability_matrix
 from .realroots import real_roots
 from .reports import Report
 from .series import (INF, NUMERIC, RATIONAL, LCNumber, default_truncation,
                      format_series, monomial, truncation, zero)
 
 MAX_VERTICES = 12
+# root-lifting budgets: cluster nesting, polygon extensions, Newton steps
+MAX_CLUSTER_DEPTH = 8
+MAX_EXTENSIONS = 400
+MAX_NEWTON_STEPS = 120
 
 
 def _one_like(mode: Optional[str]) -> LCNumber:
@@ -176,12 +179,11 @@ def _lower_hull(points: List[Tuple[int, Fraction]]) -> List[Tuple[int, Fraction]
     return hull
 
 
-def _newton_refine(q: LCPolynomial, dq: LCPolynomial, mu: LCNumber,
-                   extension_cap: int = 400, newton_cap: int = 120) -> LCNumber:
+def _newton_refine(q: LCPolynomial, dq: LCPolynomial, mu: LCNumber) -> LCNumber:
     """Converge a simple branch: polygon extensions until the dominance
     condition holds, then Newton iteration with strictly increasing
     residual valuation."""
-    for _ in range(extension_cap):
+    for _ in range(MAX_EXTENSIONS):
         r = q.evaluate(mu)
         if r.is_zero:
             return mu
@@ -208,7 +210,7 @@ def _newton_refine(q: LCPolynomial, dq: LCPolynomial, mu: LCNumber,
         mu = mu + monomial(coeff, step)
     else:
         raise LiftError("branch extension budget exhausted")
-    for _ in range(newton_cap):
+    for _ in range(MAX_NEWTON_STEPS):
         r = q.evaluate(mu)
         if r.is_zero:
             return mu
@@ -237,10 +239,10 @@ def _rescale_shift(q: LCPolynomial, s: Fraction, c) -> LCPolynomial:
     return LCPolynomial(scaled).shift(monomial(c))
 
 
-def _val_positive_roots(q: LCPolynomial, depth: int, depth_cap: int) -> List[LCNumber]:
+def _val_positive_roots(q: LCPolynomial, depth: int = 0) -> List[LCNumber]:
     """All roots of q with strictly positive valuation, with multiplicity."""
-    if depth > depth_cap:
-        raise LiftError(f"root cluster nesting exceeded depth {depth_cap}")
+    if depth > MAX_CLUSTER_DEPTH:
+        raise LiftError(f"root cluster nesting exceeded depth {MAX_CLUSTER_DEPTH}")
     coeffs = q.coeffs
     nz = [i for i, ci in enumerate(coeffs) if not ci.is_zero]
     if not nz:
@@ -285,8 +287,7 @@ def _val_positive_roots(q: LCPolynomial, depth: int, depth_cap: int) -> List[LCN
             if root.multiplicity == 1:
                 out.append(_newton_refine(q, dq, lead))
             else:
-                sub = _val_positive_roots(_rescale_shift(q, s, c),
-                                          depth + 1, depth_cap)
+                sub = _val_positive_roots(_rescale_shift(q, s, c), depth + 1)
                 if len(sub) != root.multiplicity:
                     raise LiftError("cluster recursion lost branches; "
                                     "increase the truncation order")
@@ -294,8 +295,7 @@ def _val_positive_roots(q: LCPolynomial, depth: int, depth_cap: int) -> List[LCN
     return out
 
 
-def lift_roots(p: LCPolynomial, mode: str = "auto",
-               depth_cap: int = 8) -> List[LCNumber]:
+def lift_roots(p: LCPolynomial, mode: str = "auto") -> List[LCNumber]:
     """All roots of p as series, with multiplicity, via the eps = 0 reduction.
 
     mode "rational" insists on exact arithmetic and raises
@@ -314,8 +314,7 @@ def lift_roots(p: LCPolynomial, mode: str = "auto",
     exact_base = all(r.is_exact for r in base)
     if p.mode != NUMERIC and mode != NUMERIC and exact_base:
         try:
-            return _lift_all(p, [(Fraction(r.value), r.multiplicity) for r in base],
-                             depth_cap)
+            return _lift_all(p, [(Fraction(r.value), r.multiplicity) for r in base])
         except NumericModeRequired:
             if mode == RATIONAL:
                 raise
@@ -329,15 +328,14 @@ def lift_roots(p: LCPolynomial, mode: str = "auto",
         if isinstance(v, Fraction):
             v = mpmath.mpf(v.numerator) / v.denominator
         pairs.append((v, r.multiplicity))
-    return _lift_all(pn, pairs, depth_cap)
+    return _lift_all(pn, pairs)
 
 
-def _lift_all(p: LCPolynomial, base: List[Tuple[object, int]],
-              depth_cap: int) -> List[LCNumber]:
+def _lift_all(p: LCPolynomial, base: List[Tuple[object, int]]) -> List[LCNumber]:
     out = []
     for value, mult in base:
         shifted = p.shift(monomial(value))
-        branches = _val_positive_roots(shifted, 0, depth_cap)
+        branches = _val_positive_roots(shifted)
         if len(branches) != mult:
             raise LiftError(
                 f"found {len(branches)} branches at reduced root {value}, "
@@ -411,21 +409,6 @@ def nullspace_basis(rows: List[List[LCNumber]], expected: int,
     return basis
 
 
-def eigenfunction_basis(m: OperatorMatrix, value: LCNumber,
-                        expected: int = 1) -> List[VertexFunction]:
-    """Kernel basis of (M - value*I), scaled to first nonzero coordinate 1."""
-    rows = []
-    for i, row in enumerate(m.rows):
-        rows.append([e - value if i == j else e for j, e in enumerate(row)])
-    mode = value.mode or m.rows[0][0].mode
-    basis = nullspace_basis(rows, expected, mode)
-    return [VertexFunction(m.vertices, _normalize_first(vec)) for vec in basis]
-
-
-def eigenfunction(m: OperatorMatrix, value: LCNumber) -> VertexFunction:
-    return eigenfunction_basis(m, value, expected=1)[0]
-
-
 def _normalize_first(vec: List[LCNumber]) -> List[LCNumber]:
     for v in vec:
         if not v.is_zero:
@@ -480,14 +463,14 @@ def _gram_schmidt(g: OFGraph, vecs: List[List[LCNumber]]) -> List[List[LCNumber]
     return done
 
 
-def _decompose(g: OFGraph, mode: str, depth_cap: int, t_req: Fraction):
+def _decompose(g: OFGraph, mode: str, t_req: Fraction):
     # runs at the ambient truncation order; raises LiftError when that
     # order leaves too little resolution below the deepest eigenvalue
     p_mat = probability_matrix(g)
     if mode == NUMERIC:
         p_mat = p_mat.to_numeric()
     p = char_poly(p_mat)
-    alphas = lift_roots(p, mode=mode, depth_cap=depth_cap)
+    alphas = lift_roots(p, mode=mode)
     out_mode = NUMERIC if any(a.mode == NUMERIC for a in alphas) else RATIONAL
     if out_mode == NUMERIC:
         p_mat = p_mat.to_numeric()
@@ -503,7 +486,7 @@ def _decompose(g: OFGraph, mode: str, depth_cap: int, t_req: Fraction):
             groups.append([a])
     # an exact-zero root carries no mode of its own; pin lam and alpha
     # to the output mode so pairs stay mutually comparable
-    unit = monomial(mpmath.mpf(1)) if out_mode == NUMERIC else monomial(Fraction(1))
+    unit = _one_like(out_mode)
     pairs: List[EigenPair] = []
     for grp in groups:
         alpha = grp[0].to_numeric() if out_mode == NUMERIC else grp[0]
@@ -532,8 +515,7 @@ def _decompose(g: OFGraph, mode: str, depth_cap: int, t_req: Fraction):
     return pairs, out_mode, p, residual
 
 
-def compute_spectrum(g: OFGraph, trunc_order=None, mode: str = "auto",
-                     depth_cap: int = 8) -> Spectrum:
+def compute_spectrum(g: OFGraph, trunc_order=None, mode: str = "auto") -> Spectrum:
     """Full eigendecomposition of the walk operator of g.
 
     Works at twice the requested truncation order internally and doubles
@@ -555,7 +537,7 @@ def compute_spectrum(g: OFGraph, trunc_order=None, mode: str = "auto",
         t_work = factor * t_req
         try:
             with truncation(t_work):
-                pairs, out_mode, p, residual = _decompose(g, mode, depth_cap, t_req)
+                pairs, out_mode, p, residual = _decompose(g, mode, t_req)
             break
         except LiftError as exc:
             failure = exc
@@ -583,7 +565,14 @@ def verify_spectral_theorems(g: OFGraph, spec: Spectrum) -> Report:
                  for v in spec.pairs[0].function.values)
     rep.add("ground-state-constant", const0)
     ortho = inner(g_work, spec.pairs[1].function, spec.pairs[0].function)
-    rep.add("first-excited-orthogonal", ortho.is_zero,
+    # P is self-adjoint and P1 = 1, so the residual r = P v1 - alpha_1 v1
+    # gives lambda_1 <v1, 1> = <r, 1>: <v1, 1> is certified to vanish only
+    # below residual_order + min val b(x) - val lambda_1
+    ortho_order = INF
+    if not lams[1].is_zero:
+        ortho_order = (spec.residual_order - lams[1].lead_exp
+                       + min(g.vertex_weight(x).lead_exp for x in g.vertices))
+    rep.add("first-excited-orthogonal", ortho.truncate(ortho_order).is_zero,
             f"<v1, 1> = {format_series(ortho, digits=12)}")
     rep.add("range", all(l.sign() >= 0 and (2 - l).sign() >= 0 for l in lams),
             "0 <= lambda <= 2 for every eigenvalue")
@@ -620,9 +609,10 @@ def verify_spectral_theorems(g: OFGraph, spec: Spectrum) -> Report:
                 "lambda_(n-1) = 2")
         rep.add("nonbipartite-strict", None, "graph is bipartite")
         rep.add("nonbipartite-asymmetry", None, "graph is bipartite")
-    # trace identities, exact in the operator's coefficient arithmetic
-    lap = char_poly(laplacian_matrix(g))
-    coeff = lap.coeffs[n - 1]
+    # trace identity, exact in the operator's coefficient arithmetic:
+    # det(lambda*I - L) = (-1)^n p(1 - lambda) for p = det(x*I - P), so its
+    # lambda^(n-1) coefficient is -n minus the x^(n-1) coefficient of p
+    coeff = -spec.char.coeffs[n - 1] - n
     rep.add("eigenvalue-sum-charpoly", (coeff + n).is_zero and coeff.is_exact,
             f"charpoly coefficient of lambda^{n - 1} equals -{n} exactly")
     total = zero()

@@ -176,16 +176,18 @@ def iterate(g: OFGraph, f: VertexFunction, m_max: int = 16, mode: str = "full",
     p = probability_matrix(g)
     norm_sq = inner(g, f, f)
 
-    alpha1_sq = None
+    # (alpha_1^2)^power and (1 - h^2)^power advance one stride per step
+    alpha_step = cheeger_step = None
     cmp_mode = g.mode
     if spectrum is not None:
         a1 = spectrum.alphas[1]
-        alpha1_sq = a1 * a1
-        if alpha1_sq.mode == NUMERIC:
+        alpha_step = (a1 * a1) ** stride
+        if alpha_step.mode == NUMERIC:
             cmp_mode = NUMERIC
-    base_h = None
     if cut is not None:
-        base_h = -(cut.h * cut.h) + 1
+        cheeger_step = (-(cut.h * cut.h) + 1) ** stride
+    alpha_pow = cheeger_pow = None
+    norm_cmp = _lift(norm_sq, cmp_mode)
 
     steps = []
     cur = f
@@ -198,12 +200,14 @@ def iterate(g: OFGraph, f: VertexFunction, m_max: int = 16, mode: str = "full",
         dev_cmp = _lift(dev_sq, cmp_mode)
 
         alpha_bound = alpha_ok = None
-        if alpha1_sq is not None:
-            alpha_bound = _lift(alpha1_sq ** power, cmp_mode) * _lift(norm_sq, cmp_mode)
+        if alpha_step is not None:
+            alpha_pow = alpha_step if m == 1 else alpha_pow * alpha_step
+            alpha_bound = _lift(alpha_pow, cmp_mode) * norm_cmp
             alpha_ok = (alpha_bound - dev_cmp).sign() >= 0
         cheeger_bound = cheeger_ok = None
-        if base_h is not None:
-            cheeger_bound = _lift(base_h ** power, cmp_mode) * _lift(norm_sq, cmp_mode)
+        if cheeger_step is not None:
+            cheeger_pow = cheeger_step if m == 1 else cheeger_pow * cheeger_step
+            cheeger_bound = _lift(cheeger_pow, cmp_mode) * norm_cmp
             cheeger_ok = (cheeger_bound - dev_cmp).sign() >= 0
 
         steps.append(WalkStep(index=m, power=power, function=cur,
@@ -282,11 +286,12 @@ class ConvergenceVerdict:
     ``guarantee`` is "bipartite-all-f" (P^{2m} f converges for every f),
     "positive-span" (P^m f converges on span{v_i : alpha_i > 0}), or
     "none".  ``formal`` records whether the theorem's side conditions
-    (#V > 2 resp. non-complete) actually hold; for a complete graph the
-    positive span collapses to the constants and convergence there is
-    trivial, which ``span_trivial`` tracks.  ``consistent`` cross-checks
-    the verdict against the eigenvalue classifier when a spectrum is
-    supplied.
+    (#V > 2 resp. non-complete) actually hold.  On a unit-weight complete
+    graph every alpha_i other than alpha_0 is -1/(n-1), so the positive
+    span collapses to the constants and convergence there is trivial,
+    which ``span_trivial`` tracks; a weighted complete graph can have
+    alpha_1 > 0.  ``consistent`` cross-checks the verdict against the
+    eigenvalue classifier when a spectrum is supplied.
     """
 
     h: LCNumber
@@ -361,7 +366,8 @@ def h_convergence_verdict(g: OFGraph, cut: CheegerCut,
         if guarantee == "bipartite-all-f":
             consistent = alpha1_kind == CONVERGES_TO_ZERO
         elif guarantee == "positive-span":
-            consistent = (alpha1_kind == CONVERGES_TO_ZERO) if formal else span_trivial
+            consistent = alpha1_kind == CONVERGES_TO_ZERO or (
+                not formal and span_trivial)
     return ConvergenceVerdict(h=h, h_comparable_one=h_cmp, bipartite=bip,
                               complete=complete, guarantee=guarantee,
                               formal=formal, span_trivial=span_trivial,

@@ -78,6 +78,18 @@ def test_invalid_config_exits_2(capsys):
         run_cli(["spectrum", "--trunc", "abc", "fig1.ofg"], capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["walk", "fig1.ofg", "--f", "delta1.fn", "--steps", "0"],
+    ["selftest", "--count", "-5"],
+    ["spectrum", "--trunc", "1/0", "fig1.ofg"],
+])
+def test_bad_flag_value_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv, capsys)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_function_on_wrong_vertex_set_exits_2(capsys):
     code, _, err = run_cli(
         ["walk", "triangle.ofg", "--f", "delta1.fn"], capsys)

@@ -1,5 +1,6 @@
 """Eigendecomposition: char poly oracle, known spectra, numeric cross-check."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -13,12 +14,15 @@ from lcgraph import (
     OFGraph,
     apply,
     compute_spectrum,
+    VertexFunction,
     inner,
+    load_graph,
     monomial,
     one,
     parse_graph,
     parse_series,
     probability_matrix,
+    truncation,
     verify_spectral_theorems,
     zero,
 )
@@ -161,6 +165,28 @@ def test_verify_report_passes_on_fixtures_and_corpus():
         spec = compute_spectrum(g, trunc_order=4)
         rep = verify_spectral_theorems(g, spec)
         assert rep.passed, rep.render()
+
+
+def _check(rep, name):
+    return next(item for item in rep.items if item.name == name)
+
+
+def test_first_excited_orthogonal_at_certified_order(fixtures_dir):
+    # random_audit.py --count 60 --seed 1, graph 7: <v1, 1> keeps numeric
+    # noise -1.0e-38*eps^(25/2), far past the certified order 5 + 1/2 - 0
+    g = load_graph(fixtures_dir / "seed1-graph7.ofg")
+    with truncation(4):
+        spec = compute_spectrum(g, trunc_order=4)
+        rep = verify_spectral_theorems(g, spec)
+    assert rep.passed, rep.render()
+    # a first excited function that is not orthogonal to 1 still fails
+    ground = spec.pairs[0].function
+    bad = dataclasses.replace(spec.pairs[1], function=VertexFunction(
+        g.vertices, [v * 2 for v in ground.values]))
+    bad_spec = dataclasses.replace(spec, pairs=[spec.pairs[0], bad] + spec.pairs[2:])
+    with truncation(4):
+        rep = verify_spectral_theorems(g, bad_spec)
+    assert _check(rep, "first-excited-orthogonal").passed is False
 
 
 def test_rejects_disconnected_and_oversized():

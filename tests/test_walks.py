@@ -21,6 +21,7 @@ from lcgraph import (
     h_convergence_verdict,
     inner,
     iterate,
+    load_graph,
     monomial,
     nonconvergence_witness,
     parse_graph,
@@ -258,3 +259,19 @@ def test_h_verdict_triangle_and_k2():
     verdict = h_convergence_verdict(k2, cheeger_constant(k2))
     assert verdict.bipartite
     assert verdict.guarantee == "none"
+
+
+def test_h_verdict_weighted_complete_graph(fixtures_dir):
+    # random_audit.py --count 40 --seed 3 --max-n 7, graph 28: a weighted
+    # K4 with alpha_1 = 0.1125*eps + ... > 0, so the positive span is more
+    # than the constants, yet alpha_1 is infinitesimal and the span mixes
+    g = load_graph(fixtures_dir / "seed3-graph28.ofg")
+    with truncation(4):
+        verdict = h_convergence_verdict(g, cheeger_constant(g),
+                                        compute_spectrum(g, trunc_order=4))
+    assert verdict.complete
+    assert verdict.guarantee == "positive-span"
+    assert not verdict.formal
+    assert verdict.span_trivial is False
+    assert verdict.alpha1_kind == CONVERGES_TO_ZERO
+    assert verdict.consistent is True
