@@ -18,7 +18,8 @@ from .cheeger import cheeger_constant, cheeger_inequality_check
 from .errors import LCGraphError
 from .graphs import dump_graph, load_function, load_graph
 from .selfcheck import run_selfcheck
-from .series import NUMERIC, format_series, set_numeric_precision, truncation
+from .series import (NUMERIC, format_series, numeric_precision,
+                     set_numeric_precision, truncation)
 from .spectral import compute_spectrum, verify_spectral_theorems
 from .walks import h_convergence_verdict, iterate
 
@@ -192,7 +193,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     with ExitStack() as scope:
         try:
-            # the setters reject --precision below 64 and --trunc <= 0
+            # the setters reject --precision below 64 and --trunc <= 0;
+            # both settings are restored on exit
+            scope.callback(set_numeric_precision, numeric_precision())
             set_numeric_precision(args.precision)
             scope.enter_context(truncation(args.trunc))
         except ValueError as exc:

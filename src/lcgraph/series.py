@@ -17,9 +17,10 @@ Coefficients come in two modes that must not be mixed inside one number:
 
 Addition and multiplication propagate truncation orders the obvious way
 (min of the operand orders, shifted by leading exponents for products).
-Inversion and square roots expand geometric/binomial series; on exact
-inputs the expansion depth is the ambient default truncation order, which
-is a module-level setting with a context manager for temporary overrides.
+Inversion and square roots share one coefficient recurrence for the
+binomial series (1 + u)^a; on exact inputs the expansion depth is the
+ambient default truncation order, which the context manager
+``truncation`` overrides temporarily.
 """
 
 from __future__ import annotations
@@ -76,22 +77,16 @@ def default_truncation() -> Fraction:
     return _default_trunc
 
 
-def set_default_truncation(order) -> None:
-    global _default_trunc
-    order = _as_exponent(order, what="truncation order")
-    if order <= 0:
-        raise ValueError("truncation order must be positive")
-    _default_trunc = order
-
-
 @contextmanager
 def truncation(order) -> Iterator[Fraction]:
     """Temporarily override the ambient default truncation order."""
     global _default_trunc
-    saved = _default_trunc
-    set_default_truncation(order)
+    order = _as_exponent(order, what="truncation order")
+    if order <= 0:
+        raise ValueError("truncation order must be positive")
+    saved, _default_trunc = _default_trunc, order
     try:
-        yield _default_trunc
+        yield order
     finally:
         _default_trunc = saved
 
@@ -124,6 +119,22 @@ def _split_coeff(c) -> Tuple[Coefficient, str]:
 
 def _frac_to_mpf(x: Fraction) -> mpmath.mpf:
     return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _lattice(t, *term_seqs):
+    """Rescale exponents to one integer denominator ``den``.
+
+    Returns den, the cut t*den (None for t = inf) and each sequence of
+    (exponent, coefficient) pairs with int keys q*den, so convolutions
+    run on ints instead of Fractions.
+    """
+    den = 1 if t == INF else t.denominator
+    for terms in term_seqs:
+        for q, _ in terms:
+            den = den * q.denominator // math.gcd(den, q.denominator)
+    cut = None if t == INF else t.numerator * (den // t.denominator)
+    return den, cut, [[(q.numerator * (den // q.denominator), c) for q, c in terms]
+                      for terms in term_seqs]
 
 
 class LCNumber:
@@ -300,20 +311,7 @@ class LCNumber:
                           other.trunc + self.lead_exp))
         if not self.terms or not other.terms:
             return LCNumber._raw((), t, None)
-        # exponents rescaled to one integer denominator: the convolution
-        # then runs on int keys instead of Fractions
-        den = 1
-        for q, _ in self.terms:
-            den = den * q.denominator // math.gcd(den, q.denominator)
-        for q, _ in other.terms:
-            den = den * q.denominator // math.gcd(den, q.denominator)
-        if t is INF or t == INF:
-            cut = None
-        else:
-            den = den * t.denominator // math.gcd(den, t.denominator)
-            cut = t.numerator * (den // t.denominator)
-        a = [(q.numerator * (den // q.denominator), c) for q, c in self.terms]
-        b = [(q.numerator * (den // q.denominator), c) for q, c in other.terms]
+        den, cut, (a, b) = _lattice(t, self.terms, other.terms)
         b0 = b[0][0]
         prod = {}
         for qa, ca in a:
@@ -375,7 +373,7 @@ class LCNumber:
         return LCNumber._raw(self.terms[:keep], trunc, self.mode)
 
     def inverse(self) -> "LCNumber":
-        """Multiplicative inverse, by geometric expansion of the tail.
+        """Multiplicative inverse: (1 + u)^-1 by the recurrence of _binomial.
 
         The result's truncation order is T_eff - 2q where q is the leading
         exponent and T_eff is the input's own order when finite, otherwise
@@ -383,66 +381,58 @@ class LCNumber:
         """
         if not self.terms:
             raise ZeroDivisionError("inverse of a series that is zero at its truncation order")
-        q, c = self.terms[0]
-        c_inv = (1 / c) if self.mode == NUMERIC else Fraction(c.denominator, c.numerator)
-        lead_inv = monomial(c_inv, -q)
-        if len(self.terms) == 1:
-            return LCNumber(lead_inv.terms, trunc=self.trunc - 2 * q)
-        t_eff = self.trunc if self.trunc != INF else q + _default_trunc
-        t_rel = t_eff - q
-        tail = LCNumber(self.terms[1:], trunc=self.trunc)
-        u = (tail * lead_inv).truncate(t_rel)
-        neg_u = -u
-        acc = monomial(mpmath.mpf(1)) if self.mode == NUMERIC else monomial(Fraction(1))
-        p = acc
-        while True:
-            p = (p * neg_u).truncate(t_rel)
-            if p.is_zero:
-                break
-            acc = acc + p
-        return lead_inv * acc.truncate(t_rel)
+        return self._binomial(1 / self.terms[0][1], Fraction(-1))
 
     def sqrt(self) -> "LCNumber":
         """Square root of a strictly positive series.
 
-        Needs an even leading exponent and, in rational mode, a leading
-        coefficient that is a square in Q; otherwise numeric mode is
-        required.  Expands the binomial series for the tail.
+        In rational mode the leading coefficient must be a square in Q;
+        otherwise numeric mode is required.  Any leading exponent q gives
+        eps^(q/2).  The tail is (1 + u)^(1/2) by the recurrence of _binomial.
         """
         if self.sign() <= 0:
             raise ValueError("sqrt needs a strictly positive series")
-        q, c = self.terms[0]
+        c = self.terms[0][1]
         if self.mode == NUMERIC:
-            c_root = mpmath.sqrt(c)
-            c_inv = 1 / c
-        else:
-            rn, rd = math.isqrt(c.numerator), math.isqrt(c.denominator)
-            if rn * rn != c.numerator or rd * rd != c.denominator:
-                raise NumericModeRequired(
-                    f"leading coefficient {c} is not a rational square; "
-                    "convert with to_numeric() first")
-            c_root = Fraction(rn, rd)
-            c_inv = 1 / c
-        half_q = q / 2
-        lead_root = monomial(c_root, half_q)
+            return self._binomial(mpmath.sqrt(c), Fraction(1, 2))
+        rn, rd = math.isqrt(c.numerator), math.isqrt(c.denominator)
+        if rn * rn != c.numerator or rd * rd != c.denominator:
+            raise NumericModeRequired(
+                f"leading coefficient {c} is not a rational square; "
+                "convert with to_numeric() first")
+        return self._binomial(Fraction(rn, rd), Fraction(1, 2))
+
+    def _binomial(self, c_a, a: Fraction) -> "LCNumber":
+        """c_a*eps^(a*q) * (1 + u)^a for self = c*eps^q * (1 + u), c_a = c^a.
+
+        w = (1 + u)^a solves (1 + u) w' = a u' w: on the lattice of u's
+        exponents w_0 = 1 and k*w_k = sum_j ((a+1)*j - k) * u_j * w_(k-j),
+        here multiplied by a's denominator d so every factor is an integer.
+        """
+        q, c = self.terms[0]
+        lead = monomial(c_a, a * q)
         if len(self.terms) == 1:
-            return LCNumber(lead_root.terms, trunc=(self.trunc - q) + half_q)
-        t_eff = self.trunc if self.trunc != INF else q + _default_trunc
-        t_rel = t_eff - q
-        tail = LCNumber(self.terms[1:], trunc=self.trunc)
-        u = (tail * monomial(c_inv, -q)).truncate(t_rel)
-        acc = monomial(mpmath.mpf(1)) if self.mode == NUMERIC else monomial(Fraction(1))
-        p = acc
-        binom = Fraction(1)
-        k = 0
-        while True:
-            p = (p * u).truncate(t_rel)
-            binom = binom * (Fraction(1, 2) - k) / (k + 1)
-            k += 1
-            if p.is_zero:
-                break
-            acc = acc + p * binom
-        return lead_root * acc.truncate(t_rel)
+            return lead.truncate(self.trunc + (a - 1) * q)
+        t_rel = self.trunc - q if self.trunc != INF else _default_trunc
+        tail = LCNumber._raw(self.terms[1:], self.trunc, self.mode)
+        u = (tail * monomial(1 / c, -q)).truncate(t_rel)
+        den, cut, (u_keys,) = _lattice(t_rel, u.terms)
+        n, d = a.numerator, a.denominator
+        numeric = self.mode == NUMERIC
+        w = [mpmath.mpf(1) if numeric else Fraction(1)] + [0] * (cut - 1)
+        out = [(Fraction(0), w[0])]
+        for k in range(1, cut):
+            acc = 0
+            for j, u_j in u_keys:
+                if j > k:
+                    break
+                if w[k - j]:
+                    acc += ((n + d) * j - d * k) * u_j * w[k - j]
+            w_k = acc / (d * k)
+            if (abs(w_k) >= _tau) if numeric else (w_k != 0):
+                w[k] = w_k
+                out.append((Fraction(k, den), w_k))
+        return lead * LCNumber._raw(tuple(out), t_rel, self.mode)
 
     # -- order ------------------------------------------------------------
 
@@ -719,33 +709,39 @@ class _Parser:
     def parse_marker(self):
         self.take("bigo")
         self.take("sym", "(", what="'(' after O")
-        self.take("eps", what="eps inside O(...)")
-        q = Fraction(1)
-        if self.peek("sym", "^"):
-            self.take()
-            q = self.parse_exponent()
+        q = self.parse_eps("eps inside O(...)")
         self.take("sym", ")", what="')' closing O(...)")
         return q
 
     def parse_term(self):
         if self.peek("eps"):
-            self.take()
-            q = Fraction(1)
-            if self.peek("sym", "^"):
-                self.take()
-                q = self.parse_exponent()
             c = _frac_to_mpf(Fraction(1)) if self.mode == NUMERIC else Fraction(1)
-            return q, c
+            return self.parse_eps("eps"), c
         c = self.parse_coeff()
         q = Fraction(0)
         if self.peek("sym", "*"):
             self.take()
-            self.take("eps", what="eps after '*'")
-            q = Fraction(1)
-            if self.peek("sym", "^"):
-                self.take()
-                q = self.parse_exponent()
+            q = self.parse_eps("eps after '*'")
         return q, c
+
+    def parse_eps(self, what) -> Fraction:
+        """eps[^exponent]: the exponent of one power of eps."""
+        self.take("eps", what=what)
+        if self.peek("sym", "^"):
+            self.take()
+            return self.parse_exponent()
+        return Fraction(1)
+
+    def parse_ratio(self, what, den_what) -> Fraction:
+        """int[/int]; ``what`` and ``den_what`` name the two ints in errors."""
+        num = int(self.take("int", what=what)[1])
+        if not self.peek("sym", "/"):
+            return Fraction(num)
+        self.take()
+        den_tok = self.take("int", what=den_what)
+        if int(den_tok[1]) == 0:
+            raise SeriesParseError("zero denominator", position=den_tok[2])
+        return Fraction(num, int(den_tok[1]))
 
     def parse_coeff(self):
         tok = self.peek("decimal")
@@ -755,17 +751,7 @@ class _Parser:
                 raise SeriesParseError(
                     "decimal coefficients need numeric mode", position=tok[2])
             return mpmath.mpf(tok[1])
-        tok = self.take("int", what="coefficient")
-        num = int(tok[1])
-        if self.peek("sym", "/"):
-            self.take()
-            den_tok = self.take("int", what="denominator")
-            den = int(den_tok[1])
-            if den == 0:
-                raise SeriesParseError("zero denominator", position=den_tok[2])
-            value = Fraction(num, den)
-        else:
-            value = Fraction(num)
+        value = self.parse_ratio("coefficient", "denominator")
         if self.mode == NUMERIC:
             return _frac_to_mpf(value)
         return value
@@ -777,16 +763,9 @@ class _Parser:
             if self.peek("sym", "-"):
                 self.take()
                 sign_ = -1
-            num = int(self.take("int", what="exponent numerator")[1])
-            den = 1
-            if self.peek("sym", "/"):
-                self.take()
-                den_tok = self.take("int", what="exponent denominator")
-                den = int(den_tok[1])
-                if den == 0:
-                    raise SeriesParseError("zero denominator", position=den_tok[2])
+            q = self.parse_ratio("exponent numerator", "exponent denominator")
             self.take("sym", ")", what="')' closing exponent")
-            return Fraction(sign_ * num, den)
+            return sign_ * q
         if self.peek("sym", "-"):
             self.take()
             return -Fraction(int(self.take("int", what="exponent")[1]))

@@ -519,8 +519,8 @@ def compute_spectrum(g: OFGraph, trunc_order=None, mode: str = "auto") -> Spectr
     """Full eigendecomposition of the walk operator of g.
 
     Works at twice the requested truncation order internally and doubles
-    that margin (up to four times the request) when an eigenvalue sits so
-    deep that root lifting runs out of resolution.  mode "auto" stays
+    that margin (to four, then eight times the request) when an eigenvalue
+    sits so deep that root lifting runs out of resolution.  mode "auto" stays
     rational when every eigenvalue series has rational coefficients and
     otherwise redoes the lift numerically.
     """

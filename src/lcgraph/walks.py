@@ -133,7 +133,6 @@ class WalkReport:
     norm_sq: LCNumber
     steps: Tuple[WalkStep, ...]
     precondition: str
-    classifications: Tuple[Tuple[LCNumber, LimitVerdict], ...]
 
     @property
     def bounds_hold(self) -> bool:
@@ -229,14 +228,8 @@ def iterate(g: OFGraph, f: VertexFunction, m_max: int = 16, mode: str = "full",
                     precondition = "violated"
                     break
 
-    classifications = ()
-    if spectrum is not None:
-        classifications = tuple((pair.alpha, classify_eigen_limit(pair.alpha))
-                                for pair in spectrum.pairs)
-
     return WalkReport(mode=mode, equilibrium=eq, norm_sq=norm_sq,
-                      steps=tuple(steps), precondition=precondition,
-                      classifications=classifications)
+                      steps=tuple(steps), precondition=precondition)
 
 
 def _lift_function(f: VertexFunction, mode: str) -> VertexFunction:

@@ -78,6 +78,14 @@ def test_invalid_config_exits_2(capsys):
         run_cli(["spectrum", "--trunc", "abc", "fig1.ofg"], capsys)
 
 
+def test_precision_is_restored_after_main(capsys):
+    import mpmath
+    from lcgraph.series import numeric_precision
+    before = numeric_precision(), mpmath.mp.prec
+    assert run_cli(["spectrum", "--precision", "128", "k2.ofg"], capsys)[0] == 0
+    assert (numeric_precision(), mpmath.mp.prec) == before
+
+
 @pytest.mark.parametrize("argv", [
     ["walk", "fig1.ofg", "--f", "delta1.fn", "--steps", "0"],
     ["selftest", "--count", "-5"],

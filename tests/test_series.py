@@ -23,6 +23,7 @@ from lcgraph import (
     truncation,
     zero,
 )
+from lcgraph.series import default_truncation
 
 
 def s(text):
@@ -173,6 +174,74 @@ def test_inverse_of_truncated_input():
     assert inv.identical(parse_series("1 - eps + eps^2 + O(eps^3)"))
 
 
+# reference expansions: the geometric series for 1/(1 + u) and the binomial
+# series for (1 + u)^(1/2), one full product per power of u
+
+def _reference_tail(a):
+    q, c = a.terms[0]
+    t_rel = (a.trunc if a.trunc != INF else q + default_truncation()) - q
+    tail = LCNumber(a.terms[1:], trunc=a.trunc)
+    return (tail * monomial(1 / c, -q)).truncate(t_rel), t_rel
+
+
+def _reference_inverse(a):
+    q, c = a.terms[0]
+    lead_inv = monomial(1 / c, -q)
+    if len(a.terms) == 1:
+        return LCNumber(lead_inv.terms, trunc=a.trunc - 2 * q)
+    u, t_rel = _reference_tail(a)
+    acc = p = one()
+    while True:
+        p = (p * -u).truncate(t_rel)
+        if p.is_zero:
+            break
+        acc = acc + p
+    return lead_inv * acc.truncate(t_rel)
+
+
+def _reference_sqrt(a):
+    q, c = a.terms[0]
+    lead_root = monomial(Fraction(math.isqrt(c.numerator), math.isqrt(c.denominator)),
+                         q / 2)
+    if len(a.terms) == 1:
+        return LCNumber(lead_root.terms, trunc=(a.trunc - q) + q / 2)
+    u, t_rel = _reference_tail(a)
+    acc = p = one()
+    binom = Fraction(1)
+    k = 0
+    while True:
+        p = (p * u).truncate(t_rel)
+        binom = binom * (Fraction(1, 2) - k) / (k + 1)
+        k += 1
+        if p.is_zero:
+            break
+        acc = acc + p * binom
+    return lead_root * acc.truncate(t_rel)
+
+
+def test_inverse_and_sqrt_match_reference_expansions():
+    import random
+    rng = random.Random(11)
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        qs = sorted(rng.sample(range(-6, 16), n))
+        terms = [(Fraction(q, rng.choice((1, 2, 3))),
+                  Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((-1, 1)))
+                 for q in qs]
+        t = Fraction(rng.randint(8, 20), rng.choice((1, 2, 3))) \
+            if rng.random() < 0.5 else INF
+        a = LCNumber(terms, trunc=t)
+        if a.is_zero:
+            continue
+        # the same tail under a positive square leading coefficient
+        square = Fraction(rng.randint(1, 9), rng.randint(1, 9)) ** 2
+        b = LCNumber(((a.lead_exp, square),) + a.terms[1:], trunc=a.trunc)
+        for order in (2, Fraction(7, 2), 6, 9):
+            with truncation(order):
+                assert a.inverse().identical(_reference_inverse(a))
+                assert b.sqrt().identical(_reference_sqrt(b))
+
+
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         zero().inverse()
@@ -285,6 +354,21 @@ def test_parse_error_reports_position():
     with pytest.raises(SeriesParseError) as exc:
         parse_series("1 + !")
     assert "column" in str(exc.value)
+
+
+@pytest.mark.parametrize("text, message, column", [
+    ("1/0", "zero denominator", 3),
+    ("eps^(1/0)", "zero denominator", 8),
+    ("2*", "expected eps after '*'", 3),
+    ("O(1)", "expected eps inside O(...)", 3),
+    ("- O(eps)", "truncation marker cannot be negated", 9),
+    ("eps^", "expected exponent", 5),
+])
+def test_parse_error_messages(text, message, column):
+    for mode in ("rational", "numeric"):
+        with pytest.raises(SeriesParseError) as exc:
+            parse_series(text, mode)
+        assert str(exc.value) == f"{message} (column {column})"
 
 
 def test_format_round_trip_rational():
