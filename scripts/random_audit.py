@@ -25,6 +25,7 @@ from lcgraph import (
     compute_spectrum,
     dump_graph,
     h_convergence_verdict,
+    truncation,
     verify_spectral_theorems,
 )
 
@@ -34,11 +35,13 @@ from corpus import random_graph  # noqa: E402
 
 
 def audit_one(g: OFGraph, trunc: Fraction) -> list:
-    spec = compute_spectrum(g, trunc_order=trunc)
-    cut = cheeger_constant(g)
-    reports = [verify_spectral_theorems(g, spec),
-               cheeger_inequality_check(g, spec, cut)]
-    verdict = h_convergence_verdict(g, cut, spectrum=spec)
+    # the whole audit runs at --trunc, as `lcgraph verify --trunc` does
+    with truncation(trunc):
+        spec = compute_spectrum(g, trunc_order=trunc)
+        cut = cheeger_constant(g)
+        reports = [verify_spectral_theorems(g, spec),
+                   cheeger_inequality_check(g, spec, cut)]
+        verdict = h_convergence_verdict(g, cut, spectrum=spec)
     failures = [item.render() for rep in reports for item in rep.failures]
     if verdict.consistent is False:
         failures.append(f"convergence verdict inconsistent: guarantee "

@@ -8,17 +8,26 @@ where b(S) is the total vertex weight of S and b(boundary S) sums the
 weights of edges leaving S.  Over an ordered series field the minimum is
 taken in the field order, so enumeration must be exhaustive: there is no
 useful rounding that would let a heuristic cut stand in for the true one.
+
+The enumeration divides once, for the winning cut.  Every other cut is
+compared with the best so far by cross-multiplication, b * m_best against
+b_best * m, which orders the ratios b/m because masses are positive.
+Subsets are visited in ascending mask order, not by Gray code: a comparison
+of truncated series calls a difference at or past the truncation order a
+tie, that relation is not transitive, and so the visiting order can change
+which of several tied cuts wins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .errors import GraphValidationError
 from .graphs import OFGraph
 from .reports import Report
-from .series import LCNumber, NUMERIC, format_series
+from .series import (INF, LCNumber, NUMERIC, default_truncation, format_series,
+                     zero)
 from .spectral import MAX_VERTICES, Spectrum
 
 
@@ -37,21 +46,47 @@ class CheegerCut:
     mass: LCNumber
 
 
-def _boundary_weight(g: OFGraph, members: Tuple[bool, ...]) -> LCNumber:
-    total = None
-    for x, y, w in g.edges():
-        if members[g.index(x)] != members[g.index(y)]:
-            total = w if total is None else total + w
-    # connected graphs always have a crossing edge for a proper subset
-    return total
+def _ratio_order(boundary: LCNumber, mass: LCNumber):
+    """Truncation order of boundary * mass.inverse(), without dividing.
+
+    The inverse of c*eps^q*(1 + u) is known to mass.trunc - 2q, or for an
+    exact mass to the ambient order minus q (exactly, for a single term).
+    """
+    q = mass.lead_exp
+    if mass.trunc != INF:
+        inverse = mass.trunc - 2 * q
+    elif len(mass.terms) > 1:
+        inverse = default_truncation() - q
+    else:
+        inverse = INF
+    return min(boundary.trunc - q, inverse + boundary.lead_exp)
+
+
+def _cross_sign(b, m, tau, best_b, best_m, best_tau) -> int:
+    """(b * m.inverse() - best_b * best_m.inverse()).sign(), division-free.
+
+    tau and best_tau are the truncation orders of the two ratios.  Their
+    difference is D / (m * best_m) with D = b * best_m - best_b * m, so it
+    has D's sign, and it is zero at its order min(tau, best_tau) exactly
+    when D is zero below that order plus val m + val best_m.  Cutting each
+    factor so the products stop there loses no known term of D below it:
+    when the ratios' valuations differ, D's lowest term decides, and when
+    they agree no factor is cut below its own truncation order.
+    """
+    order = min(tau, best_tau) + m.lead_exp + best_m.lead_exp
+    d = (b.truncate(order - best_m.lead_exp) * best_m.truncate(order - b.lead_exp)
+         - best_b.truncate(order - m.lead_exp) * m.truncate(order - best_b.lead_exp))
+    return d.sign()
 
 
 def cheeger_constant(g: OFGraph) -> CheegerCut:
     """Exhaustive minimum of b(dS)/min(b(S), b(V\\S)) over proper subsets.
 
     Only subsets avoiding the last vertex are enumerated; the complement
-    symmetry S <-> V\\S covers the rest.  Ties between cuts with equal h
-    are broken toward the lexicographically smallest representative.
+    symmetry S <-> V\\S covers the rest.  They are visited in ascending
+    mask order and compared with the best cut by cross-multiplication;
+    only the winner's ratio is formed.  Ties between cuts with equal h are
+    broken toward the lexicographically smallest representative.
     """
     if not g.is_connected():
         raise GraphValidationError("Cheeger constant needs a connected graph")
@@ -64,40 +99,43 @@ def cheeger_constant(g: OFGraph) -> CheegerCut:
 
     weights = [g.vertex_weight(v) for v in g.vertices]
     total = g.total_weight()
+    edges = [(1 << g.index(x), 1 << g.index(y), w) for x, y, w in g.edges()]
 
-    best: Optional[CheegerCut] = None
-    best_indices: Optional[Tuple[int, ...]] = None
+    # masses[mask] adds the members' weights in ascending order, as a
+    # per-subset sum would, so numeric rounding matches one
+    masses = [zero()] * (1 << (n - 1))
+    best = None
     # masks over the first n-1 vertices; vertex n-1 stays on the complement
     for mask in range(1, 1 << (n - 1)):
-        members = tuple(bool(mask >> i & 1) for i in range(n - 1)) + (False,)
-        mass_in = None
-        for i in range(n - 1):
-            if members[i]:
-                mass_in = weights[i] if mass_in is None else mass_in + weights[i]
+        top = mask.bit_length() - 1
+        mass_in = masses[mask] = masses[mask ^ (1 << top)] + weights[top]
         mass_out = total - mass_in
-        boundary = _boundary_weight(g, members)
+        boundary = None
+        for bx, by, w in edges:
+            if bool(mask & bx) != bool(mask & by):
+                boundary = w if boundary is None else boundary + w
+        # connected graphs always have a crossing edge for a proper subset
 
-        side = mass_in - mass_out
-        if side.sign() < 0:
-            mass, indices = mass_in, tuple(i for i in range(n) if members[i])
-        elif side.sign() > 0:
-            mass, indices = mass_out, tuple(i for i in range(n) if not members[i])
-        else:
-            inside = tuple(i for i in range(n) if members[i])
-            outside = tuple(i for i in range(n) if not members[i])
-            mass, indices = mass_in, min(inside, outside)
+        side = (mass_in - mass_out).sign()
+        mass = mass_out if side > 0 else mass_in
+        if mass.is_zero:
+            names = ", ".join(g.vertices[i] for i in range(n) if mask >> i & 1)
+            raise GraphValidationError(
+                f"cut {{{names}}} has mass {format_series(mass)}: the weights "
+                "are not known far enough to compare cuts")
+        tau = _ratio_order(boundary, mass)
+        diff = -1 if best is None else _cross_sign(boundary, mass, tau, *best[:3])
+        if diff > 0:
+            continue
+        inside = tuple(i for i in range(n) if mask >> i & 1)
+        outside = tuple(i for i in range(n) if not mask >> i & 1)
+        indices = inside if side < 0 else outside if side > 0 else min(inside, outside)
+        if diff < 0 or indices < best[3]:
+            best = (boundary, mass, tau, indices)
 
-        ratio = boundary * mass.inverse()
-        if best is None:
-            better = True
-        else:
-            diff = (ratio - best.h).sign()
-            better = diff < 0 or (diff == 0 and indices < best_indices)
-        if better:
-            subset = tuple(g.vertices[i] for i in indices)
-            best = CheegerCut(subset=subset, h=ratio, boundary=boundary, mass=mass)
-            best_indices = indices
-    return best
+    boundary, mass, _, indices = best
+    return CheegerCut(subset=tuple(g.vertices[i] for i in indices),
+                      h=boundary * mass.inverse(), boundary=boundary, mass=mass)
 
 
 def _match_mode(a: LCNumber, b: LCNumber) -> Tuple[LCNumber, LCNumber]:

@@ -295,9 +295,19 @@ def parse_graph(text: str, mode: str = RATIONAL) -> OFGraph:
     return OFGraph.from_edges(edges)
 
 
+def _read_text(path) -> str:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphValidationError(
+            f"{path}: not UTF-8 text, byte {exc.start} is "
+            f"{data[exc.start:exc.start + 1]!r}") from exc
+
+
 def load_graph(path, mode: str = RATIONAL) -> OFGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read(), mode=mode)
+    return parse_graph(_read_text(path), mode=mode)
 
 
 def dump_graph(g: OFGraph) -> str:
@@ -324,5 +334,4 @@ def parse_function(text: str, graph: OFGraph, mode: str = RATIONAL) -> VertexFun
 
 
 def load_function(path, graph: OFGraph, mode: str = RATIONAL) -> VertexFunction:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_function(fh.read(), graph, mode=mode)
+    return parse_function(_read_text(path), graph, mode=mode)

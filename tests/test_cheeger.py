@@ -8,14 +8,20 @@ import pytest
 
 from lcgraph import (
     GraphValidationError,
+    LCNumber,
+    OFGraph,
     cheeger_constant,
     cheeger_inequality_check,
     compute_spectrum,
+    dump_graph,
+    monomial,
     parse_graph,
     parse_series,
+    truncation,
     zero,
 )
-from corpus import random_graph, random_nonbipartite
+from lcgraph.cheeger import _cross_sign, _ratio_order
+from corpus import random_graph, random_nonbipartite, random_weight
 
 FIG1 = "1 2 1\n2 3 1\n3 4 eps\n"
 FIG2 = "1 2 1\n2 3 eps\n3 4 1\n"
@@ -118,3 +124,134 @@ def test_inequality_report_on_fixtures_and_corpus():
 def test_rejects_single_vertex_and_disconnected():
     with pytest.raises(GraphValidationError):
         cheeger_constant(parse_graph("1 2 1\n3 4 1\n"))
+
+
+def test_rejects_weights_too_coarse_to_compare_cuts():
+    # the cut {1, 2} leaves vertex 3 with mass eps^2, past every O(eps)
+    g = parse_graph("1 2 1 + O(eps)\n2 3 eps^2\n")
+    with pytest.raises(GraphValidationError, match=r"cut \{1, 2\} has mass 0 \+ O\(eps\^1\)"):
+        cheeger_constant(g)
+
+
+def _reference_cut(g):
+    # the enumeration as it stood before cross-multiplication: one ratio
+    # and one inverse per subset, compared by the sign of the difference
+    n = g.n
+    weights = [g.vertex_weight(v) for v in g.vertices]
+    total = g.total_weight()
+    best = best_indices = None
+    for mask in range(1, 1 << (n - 1)):
+        members = tuple(bool(mask >> i & 1) for i in range(n - 1)) + (False,)
+        mass_in = None
+        for i in range(n - 1):
+            if members[i]:
+                mass_in = weights[i] if mass_in is None else mass_in + weights[i]
+        mass_out = total - mass_in
+        boundary = None
+        for x, y, w in g.edges():
+            if members[g.index(x)] != members[g.index(y)]:
+                boundary = w if boundary is None else boundary + w
+
+        side = mass_in - mass_out
+        if side.sign() < 0:
+            mass, indices = mass_in, tuple(i for i in range(n) if members[i])
+        elif side.sign() > 0:
+            mass, indices = mass_out, tuple(i for i in range(n) if not members[i])
+        else:
+            inside = tuple(i for i in range(n) if members[i])
+            outside = tuple(i for i in range(n) if not members[i])
+            mass, indices = mass_in, min(inside, outside)
+
+        ratio = boundary * mass.inverse()
+        if best is None:
+            better = True
+        else:
+            diff = (ratio - best[1]).sign()
+            better = diff < 0 or (diff == 0 and indices < best_indices)
+        if better:
+            best = (tuple(g.vertices[i] for i in indices), ratio, boundary, mass)
+            best_indices = indices
+    return best
+
+
+def _truncated_weight(rng):
+    # a random weight cut O(eps^k) above its leading term
+    w = random_weight(rng)
+    return w + zero(w.lead_exp + Fraction(rng.randint(1, 4), 2))
+
+
+def _tie_heavy_graphs():
+    for n in range(2, 9):
+        names = [str(i + 1) for i in range(n)]
+        path = [(names[i], names[i + 1], 1) for i in range(n - 1)]
+        complete = [(u, v, 1) for u, v in itertools.combinations(names, 2)]
+        yield path
+        yield complete
+        if n >= 3:
+            yield path + [(names[0], names[-1], 1)]
+
+
+def _reference_cases():
+    rng = random.Random(41)
+    graphs = [random_graph(rng, 3, 7) for _ in range(36)]
+    graphs += [random_graph(rng, 3, 7, weight=_truncated_weight) for _ in range(36)]
+    graphs += [OFGraph.from_edges([(u, v, monomial(Fraction(w))) for u, v, w in edges])
+               for edges in _tie_heavy_graphs()]
+    # the same graphs with numeric coefficients, through their text form
+    return graphs + [parse_graph(dump_graph(g), mode="numeric") for g in graphs]
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 16])
+def test_cut_matches_per_subset_division(order):
+    with truncation(order):
+        for g in _reference_cases():
+            try:
+                subset, h, boundary, mass = _reference_cut(g)
+            except ZeroDivisionError:
+                # a cut mass cancels to O(eps^k): rejected as bad input
+                with pytest.raises(GraphValidationError):
+                    cheeger_constant(g)
+                continue
+            cut = cheeger_constant(g)
+            assert cut.subset == subset, dump_graph(g)
+            assert cut.h.identical(h), dump_graph(g)
+            assert cut.boundary.identical(boundary), dump_graph(g)
+            assert cut.mass.identical(mass), dump_graph(g)
+
+
+def _operand(rng):
+    w = rng.choice([random_weight, _truncated_weight])(rng)
+    return w + random_weight(rng) if rng.random() < 0.5 else w
+
+
+def test_cross_sign_is_the_sign_of_the_ratio_difference():
+    rng = random.Random(43)
+    for order in (2, 3, 4, 16):
+        with truncation(order):
+            for _ in range(150):
+                b, m, k = (_operand(rng) for _ in range(3))
+                # half the rivals are the same ratio scaled by k: ties
+                if rng.random() < 0.5:
+                    rival = (b * k, m * k)
+                else:
+                    rival = (_operand(rng), _operand(rng))
+                b, m, bb, mb = (x.to_numeric() for x in (b, m) + rival) \
+                    if rng.random() < 0.3 else (b, m) + rival
+                tau, best_tau = _ratio_order(b, m), _ratio_order(bb, mb)
+                assert tau == (b * m.inverse()).trunc
+                want = (b * m.inverse() - bb * mb.inverse()).sign()
+                assert _cross_sign(b, m, tau, bb, mb, best_tau) == want, (b, m, bb, mb)
+
+
+def test_one_division_per_search(monkeypatch):
+    g = random_graph(random.Random(47), 8, 8)
+    calls = []
+    inverse = LCNumber.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(LCNumber, "inverse", counted)
+    cheeger_constant(g)
+    assert len(calls) == 1

@@ -71,6 +71,19 @@ def test_parse_error_reports_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["cheeger", "{bad}"],
+    ["walk", "fig1.ofg", "--f", "{bad}"],
+])
+def test_non_utf8_input_exits_2(argv, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"1 2 1\n\xff")
+    code, out, err = run_cli([a.format(bad=bad) for a in argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}: not UTF-8 text, byte 6 is b'\\xff'\n"
+
+
 def test_invalid_config_exits_2(capsys):
     assert run_cli(["spectrum", "--trunc", "0", "fig1.ofg"], capsys)[0] == 2
     assert run_cli(["spectrum", "--precision", "32", "fig1.ofg"], capsys)[0] == 2
