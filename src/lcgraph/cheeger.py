@@ -9,13 +9,22 @@ weights of edges leaving S.  Over an ordered series field the minimum is
 taken in the field order, so enumeration must be exhaustive: there is no
 useful rounding that would let a heuristic cut stand in for the true one.
 
-The enumeration divides once, for the winning cut.  Every other cut is
-compared with the best so far by cross-multiplication, b * m_best against
-b_best * m, which orders the ratios b/m because masses are positive.
-Subsets are visited in ascending mask order, not by Gray code: a comparison
-of truncated series calls a difference at or past the truncation order a
-tie, that relation is not transitive, and so the visiting order can change
-which of several tied cuts wins.
+The enumeration runs in two passes.  The first ranks every cut by the
+valuation of its ratio, in integer arithmetic: weights are positive, so
+no sum cancels and each valuation is a minimum of leading exponents.  A
+ratio of lower valuation is larger, so only the cuts of the top valuation
+can give the minimum.  The second pass compares those with the best so
+far by cross-multiplication, b * m_best against b_best * m, which orders
+the ratios b/m because masses are positive, and divides once, for the
+winning cut.  Numeric graphs skip the first pass: rounding can absorb a
+term of b(V\\S) = total - b(S) or drop a product of two small leading
+coefficients, so the valuations read off the weights need not be those
+of the computed series, and every cut is compared.
+
+Subsets are visited in ascending mask order, not by Gray code: a
+comparison of truncated series calls a difference at or past the
+truncation order a tie, that relation is not transitive, and so the
+visiting order can change which of several tied cuts wins.
 """
 
 from __future__ import annotations
@@ -26,8 +35,8 @@ from typing import Tuple
 from .errors import GraphValidationError
 from .graphs import OFGraph
 from .reports import Report
-from .series import (INF, LCNumber, NUMERIC, default_truncation, format_series,
-                     zero)
+from .series import (INF, LCNumber, NUMERIC, _lattice, default_truncation,
+                     format_series, zero)
 from .spectral import MAX_VERTICES, Spectrum
 
 
@@ -79,14 +88,83 @@ def _cross_sign(b, m, tau, best_b, best_m, best_tau) -> int:
     return d.sign()
 
 
+def _mass(masses, weights, mask) -> LCNumber:
+    # b(S) from a prefix table filled on demand, masses[mask] =
+    # masses[mask ^ top] + w[top], with masses = {0: zero()}: the members
+    # are added in ascending order, as a per-subset sum adds them, so
+    # numeric rounding matches one
+    if mask not in masses:
+        top = mask.bit_length() - 1
+        masses[mask] = _mass(masses, weights, mask ^ (1 << top)) + weights[top]
+    return masses[mask]
+
+
+def _zero_mass(g: OFGraph, mask: int, mass: LCNumber) -> GraphValidationError:
+    names = ", ".join(g.vertices[i] for i in range(g.n) if mask >> i & 1)
+    return GraphValidationError(
+        f"cut {{{names}}} has mass {format_series(mass)}: the weights "
+        "are not known far enough to compare cuts")
+
+
+def _top_valuation_cuts(g: OFGraph, weights, total, edges):
+    """Pass 1: the masks whose ratio reaches the largest valuation, ascending.
+
+    Weights are positive, so no sum cancels and every valuation is the
+    least leading exponent of its summands: val b(S) is the minimum over
+    the members, built as a prefix-min table, and val b(dS) is that of the
+    first crossing edge in valuation order.  The ratio of a cut has
+    valuation val b(dS) - max(val b(S), val b(V\\S)).  Exponents are put
+    on one integer lattice first, so the pass compares ints only.
+
+    For rational weights, which round nothing: b(V\\S) is formed as
+    total - b(S) and is known only below total.trunc, so a cut is
+    degenerate exactly when val b(V\\S) >= total.trunc.  The
+    vertex with the least truncation order then lies in S, so b(S) is the
+    heavier side and the lighter one has no known term.  The first such
+    mask raises, as the full enumeration would, before anything is pruned.
+    """
+    n = g.n
+    _, cut, (vw, ew) = _lattice(total.trunc,
+                                [(w.lead_exp, None) for w in weights],
+                                [(w.lead_exp, bx | by) for bx, by, w in edges])
+    vw = [v for v, _ in vw]
+    by_valuation = sorted(ew, key=lambda e: e[0])
+    full = (1 << (n - 1)) - 1
+    vin = [INF] * (full + 1)
+    for mask in range(1, full + 1):
+        top = mask.bit_length() - 1
+        vin[mask] = min(vin[mask ^ (1 << top)], vw[top])
+
+    ranks = []
+    for mask in range(1, full + 1):
+        # the complement always holds the last vertex
+        vout = min(vin[full ^ mask], vw[n - 1])
+        if cut is not None and vout >= cut:
+            raise _zero_mass(g, mask, total - _mass({0: zero()}, weights, mask))
+        for vb, ends in by_valuation:
+            # connected graphs always have a crossing edge for a proper subset
+            if mask & ends and mask & ends != ends:
+                break
+        ranks.append(vb - max(vin[mask], vout))
+    best = max(ranks)
+    return [mask for mask, r in enumerate(ranks, 1) if r == best]
+
+
 def cheeger_constant(g: OFGraph) -> CheegerCut:
     """Exhaustive minimum of b(dS)/min(b(S), b(V\\S)) over proper subsets.
 
     Only subsets avoiding the last vertex are enumerated; the complement
-    symmetry S <-> V\\S covers the rest.  They are visited in ascending
-    mask order and compared with the best cut by cross-multiplication;
-    only the winner's ratio is formed.  Ties between cuts with equal h are
-    broken toward the lexicographically smallest representative.
+    symmetry S <-> V\\S covers the rest.  Ties between cuts with equal h
+    are broken toward the lexicographically smallest representative.
+
+    Only the cuts of the top valuation V* (``_top_valuation_cuts``) are
+    compared, and that changes nothing.  A pruned ratio's valuation lies
+    below V* and below its own truncation order, so its difference from a
+    top ratio leads there, under both ratios' orders: the comparison is
+    decisive, never a tie, and the top cut wins it.  Among the top cuts
+    the best-cut updates, with their non-transitive ties, are those of the
+    full enumeration.  Numeric graphs compare every cut (see the module
+    docstring).
     """
     if not g.is_connected():
         raise GraphValidationError("Cheeger constant needs a connected graph")
@@ -101,28 +179,24 @@ def cheeger_constant(g: OFGraph) -> CheegerCut:
     total = g.total_weight()
     edges = [(1 << g.index(x), 1 << g.index(y), w) for x, y, w in g.edges()]
 
-    # masses[mask] adds the members' weights in ascending order, as a
-    # per-subset sum would, so numeric rounding matches one
-    masses = [zero()] * (1 << (n - 1))
+    if total.mode == NUMERIC:
+        masks = range(1, 1 << (n - 1))
+    else:
+        masks = _top_valuation_cuts(g, weights, total, edges)
+    masses = {0: zero()}
     best = None
-    # masks over the first n-1 vertices; vertex n-1 stays on the complement
-    for mask in range(1, 1 << (n - 1)):
-        top = mask.bit_length() - 1
-        mass_in = masses[mask] = masses[mask ^ (1 << top)] + weights[top]
+    for mask in masks:
+        mass_in = _mass(masses, weights, mask)
         mass_out = total - mass_in
         boundary = None
         for bx, by, w in edges:
             if bool(mask & bx) != bool(mask & by):
                 boundary = w if boundary is None else boundary + w
-        # connected graphs always have a crossing edge for a proper subset
 
         side = (mass_in - mass_out).sign()
         mass = mass_out if side > 0 else mass_in
         if mass.is_zero:
-            names = ", ".join(g.vertices[i] for i in range(n) if mask >> i & 1)
-            raise GraphValidationError(
-                f"cut {{{names}}} has mass {format_series(mass)}: the weights "
-                "are not known far enough to compare cuts")
+            raise _zero_mass(g, mask, mass)
         tau = _ratio_order(boundary, mass)
         diff = -1 if best is None else _cross_sign(boundary, mass, tau, *best[:3])
         if diff > 0:

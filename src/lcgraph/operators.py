@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .graphs import OFGraph, VertexFunction
-from .series import LCNumber, zero
+from .series import INF, LCNumber, zero
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,14 +57,19 @@ def laplacian_matrix(g: OFGraph) -> OperatorMatrix:
 
 
 def apply(m: OperatorMatrix, f: VertexFunction) -> VertexFunction:
-    """Matrix action (Mf)(x) = sum_y M[x,y] f(y)."""
+    """Matrix action (Mf)(x) = sum_y M[x,y] f(y).
+
+    Exact zero entries (non-edges) are skipped: they add nothing and lower
+    no truncation order.  A zero known only to O(eps^k) still counts.
+    """
     if f.vertices != m.vertices:
         raise ValueError("function and operator have different vertex sets")
     out = []
     for row in m.rows:
         acc = zero()
         for e, v in zip(row, f.values):
-            acc = acc + e * v
+            if e.terms or e.trunc != INF:
+                acc = acc + e * v
         out.append(acc)
     return VertexFunction(m.vertices, out)
 

@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 from typing import List, Tuple
 
-from lcgraph import OFGraph, monomial
+from lcgraph import OFGraph, monomial, zero
 
 EXPONENTS = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
 
@@ -25,6 +25,12 @@ def random_weight(rng: random.Random):
         q = w.lead_exp
         w = w + monomial(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), q + 1)
     return w
+
+
+def truncated_weight(rng: random.Random):
+    """A random weight cut O(eps^k) above its leading term."""
+    w = random_weight(rng)
+    return w + zero(w.lead_exp + Fraction(rng.randint(1, 4), 2))
 
 
 def random_graph(rng: random.Random, n_min: int = 3, n_max: int = 6,

@@ -2,8 +2,10 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from lcgraph import (
@@ -14,14 +16,17 @@ from lcgraph import (
     cheeger_inequality_check,
     compute_spectrum,
     dump_graph,
+    format_series,
     monomial,
     parse_graph,
     parse_series,
     truncation,
     zero,
 )
+from lcgraph import cheeger
 from lcgraph.cheeger import _cross_sign, _ratio_order
-from corpus import random_graph, random_nonbipartite, random_weight
+from lcgraph.series import numeric_precision
+from corpus import random_graph, random_nonbipartite, random_weight, truncated_weight
 
 FIG1 = "1 2 1\n2 3 1\n3 4 eps\n"
 FIG2 = "1 2 1\n2 3 eps\n3 4 1\n"
@@ -174,12 +179,6 @@ def _reference_cut(g):
     return best
 
 
-def _truncated_weight(rng):
-    # a random weight cut O(eps^k) above its leading term
-    w = random_weight(rng)
-    return w + zero(w.lead_exp + Fraction(rng.randint(1, 4), 2))
-
-
 def _tie_heavy_graphs():
     for n in range(2, 9):
         names = [str(i + 1) for i in range(n)]
@@ -191,12 +190,22 @@ def _tie_heavy_graphs():
             yield path + [(names[0], names[-1], 1)]
 
 
+def _pruning_graphs():
+    # n = 9 and 10 draws with exponents {0, 1/2, 1, 2}: every cut reaches
+    # the top valuation of b(dS)/mass, a single cut does, and a zero-mass
+    # cut comes before the first top cut
+    return [random_graph(random.Random(7), 9, 10),
+            random_graph(random.Random(31), 9, 10),
+            random_graph(random.Random(85), 9, 10, weight=truncated_weight)]
+
+
 def _reference_cases():
     rng = random.Random(41)
     graphs = [random_graph(rng, 3, 7) for _ in range(36)]
-    graphs += [random_graph(rng, 3, 7, weight=_truncated_weight) for _ in range(36)]
+    graphs += [random_graph(rng, 3, 7, weight=truncated_weight) for _ in range(36)]
     graphs += [OFGraph.from_edges([(u, v, monomial(Fraction(w))) for u, v, w in edges])
                for edges in _tie_heavy_graphs()]
+    graphs += _pruning_graphs()
     # the same graphs with numeric coefficients, through their text form
     return graphs + [parse_graph(dump_graph(g), mode="numeric") for g in graphs]
 
@@ -220,7 +229,7 @@ def test_cut_matches_per_subset_division(order):
 
 
 def _operand(rng):
-    w = rng.choice([random_weight, _truncated_weight])(rng)
+    w = rng.choice([random_weight, truncated_weight])(rng)
     return w + random_weight(rng) if rng.random() < 0.5 else w
 
 
@@ -255,3 +264,103 @@ def test_one_division_per_search(monkeypatch):
     monkeypatch.setattr(LCNumber, "inverse", counted)
     cheeger_constant(g)
     assert len(calls) == 1
+
+
+def _valuation_profile(g):
+    # per-subset sums, independent of the package's tables: the masks whose
+    # ratio reaches the largest valuation, and the masks with a zero mass
+    n = g.n
+    total = g.total_weight()
+    ranks, zero_mass = {}, []
+    for mask in range(1, 1 << (n - 1)):
+        inside = {x for i, x in enumerate(g.vertices) if mask >> i & 1}
+        mass_in = sum((g.vertex_weight(x) for x in inside), start=zero())
+        mass_out = total - mass_in
+        boundary = sum((w for u, v, w in g.edges() if (u in inside) != (v in inside)),
+                       start=zero())
+        if mass_out.is_zero:
+            zero_mass.append(mask)
+        else:
+            ranks[mask] = boundary.lead_exp - max(mass_in.lead_exp, mass_out.lead_exp)
+    top = max(ranks.values())
+    return [mask for mask, r in ranks.items() if r == top], zero_mass
+
+
+def test_pruning_graphs_cover_each_case():
+    every, single, zero_first = (_valuation_profile(g) for g in _pruning_graphs())
+    assert len(every[0]) == (1 << 9) - 1 and not every[1]
+    assert len(single[0]) == 1 and not single[1]
+    assert zero_first[1] and zero_first[1][0] < min(zero_first[0])
+
+
+def test_first_zero_mass_cut_is_named():
+    # the error names the first zero-mass mask in ascending order, even
+    # though that cut is pruned by valuation
+    g = _pruning_graphs()[2]
+    for graph in (g, parse_graph(dump_graph(g), mode="numeric")):
+        mask = _valuation_profile(graph)[1][0]
+        inside = [x for i, x in enumerate(graph.vertices) if mask >> i & 1]
+        mass = graph.total_weight() - sum((graph.vertex_weight(x) for x in inside),
+                                          start=zero())
+        want = (f"cut {{{', '.join(inside)}}} has mass {format_series(mass)}: "
+                "the weights are not known far enough to compare cuts")
+        with pytest.raises(GraphValidationError, match=re.escape(want)):
+            cheeger_constant(graph)
+
+
+def test_search_compares_only_top_valuation_cuts(monkeypatch):
+    # a path with one weak edge: only the cut at that edge has a ratio of
+    # valuation 2, so no other cut reaches the cross-multiplication
+    n = 8
+    g = OFGraph.from_edges([(str(i), str(i + 1),
+                             monomial(Fraction(3, 2), 2) if i == 4 else monomial(1))
+                            for i in range(1, n)])
+    calls = []
+    cross_sign = cheeger._cross_sign
+
+    def counted(*args):
+        calls.append(args)
+        return cross_sign(*args)
+
+    monkeypatch.setattr(cheeger, "_cross_sign", counted)
+    cut = cheeger_constant(g)
+    assert cut.subset == ("1", "2", "3", "4")
+    assert len(calls) == 0
+
+
+def test_cut_is_invariant_under_scaling_every_weight():
+    # b(dS)/b(S) does not change when every weight is multiplied by one
+    # constant; 3*eps^(1/2) shifts every exponent onto a finer lattice
+    rng = random.Random(53)
+    k = parse_series("3*eps^(1/2)")
+    for _ in range(40):
+        g = random_graph(rng)
+        scaled = OFGraph.from_edges([(u, v, w * k) for u, v, w in g.edges()],
+                                    vertices=g.vertices)
+        cut, want = cheeger_constant(scaled), cheeger_constant(g)
+        assert cut.subset == want.subset, dump_graph(g)
+        assert cut.h.identical(want.h), dump_graph(g)
+
+
+def _numeric_graph(edges):
+    return OFGraph.from_edges([(u, v, LCNumber({Fraction(q): mpmath.mpf(c)
+                                                for q, c in terms.items()}))
+                               for u, v, terms in edges])
+
+
+def test_numeric_rounding_does_not_prune_cuts():
+    # at 256 bits a 1e-38 beside 1e40 rounds away, so the valuations read
+    # off the weights are not those of the computed masses: numeric graphs
+    # compare every cut, and the first zero mass raises as it is met
+    assert numeric_precision() == 256
+    absorbed = _numeric_graph([("a", "b", {0: "1e40"}), ("b", "c", {0: "1e-38"})])
+    with pytest.raises(GraphValidationError,
+                       match=re.escape("cut {a, b} has mass 0: the weights")):
+        cheeger_constant(absorbed)
+    # here a ranking by valuation would keep the cut {a, b} and not {a}
+    g = _numeric_graph([("a", "b", {1: "3e-38"}), ("b", "c", {2: "1e-38"}),
+                        ("c", "d", {0: "3e-38"}), ("c", "e", {0: 3, 1: "3e40"}),
+                        ("d", "e", {0: 1})])
+    cut = cheeger_constant(g)
+    assert cut.subset == ("a",)
+    assert cut.h.identical(LCNumber({0: mpmath.mpf(1)}))

@@ -16,8 +16,10 @@ from lcgraph import (
     parse_series,
     probability_matrix,
     rayleigh,
+    zero,
 )
-from corpus import random_graph
+from lcgraph.operators import OperatorMatrix
+from corpus import random_graph, random_weight, truncated_weight
 
 FIG1 = "1 2 1\n2 3 1\n3 4 eps\n"
 
@@ -75,6 +77,47 @@ def test_apply_matches_hand_value():
     assert pd["2"].identical(parse_series("1/2"))
     assert pd["3"].is_zero
     assert pd["4"].is_zero
+
+
+def _dense_apply(m, f):
+    # every entry, exact zeros included, as a plain matrix-vector sum
+    out = []
+    for row in m.rows:
+        acc = zero()
+        for e, v in zip(row, f.values):
+            acc = acc + e * v
+        out.append(acc)
+    return out
+
+
+def _random_value(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return zero(Fraction(rng.randint(1, 6), 2))
+    w = random_weight(rng) if kind < 3 else truncated_weight(rng)
+    return -w if rng.random() < 0.5 else w
+
+
+def test_apply_matches_dense_sum():
+    rng = random.Random(13)
+    for k in range(24):
+        weight = truncated_weight if k % 2 else random_weight
+        g = random_graph(rng, 3, 7, weight=weight)
+        f = VertexFunction(g.vertices, [_random_value(rng) for _ in g.vertices])
+        for m in (probability_matrix(g), laplacian_matrix(g)):
+            got = apply(m, f)
+            for x, want in zip(g.vertices, _dense_apply(m, f)):
+                assert got[x].identical(want), (k, x)
+
+
+def test_apply_keeps_truncated_zero_entries():
+    # an O(eps^2) entry is not an exact zero: it caps the row at eps^2
+    m = OperatorMatrix(("a", "b"), ((parse_series("1"), zero(2)),
+                                    (zero(), parse_series("1"))))
+    f = VertexFunction(("a", "b"), [parse_series("1"), parse_series("1")])
+    out = apply(m, f)
+    assert out["a"].identical(parse_series("1 + O(eps^2)"))
+    assert out["b"].identical(parse_series("1"))
 
 
 def test_inner_uses_vertex_weights():
