@@ -35,6 +35,10 @@ CASES = {
     "triangle.verify.txt": ["verify", "triangle.ofg"],
     "fig1.walk.txt": ["walk", "fig1.ofg", "--f", "delta1.fn",
                       "--bipartite", "--steps", "4"],
+    # rational, with 7-digit coefficients whose eigenvalue series have
+    # denominators far above 2^64: the output must not depend on --precision
+    "prec64-triangle.spectrum.txt": ["spectrum", "--trunc", "4",
+                                     "prec64-triangle.ofg"],
 }
 
 

@@ -138,13 +138,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--trunc", type=rational, default=Fraction(8),
                         metavar="Q", help="truncation order, a positive rational "
                         "(default 8)")
-    common.add_argument("--mode", choices=("rational", "numeric"),
-                        default="rational", help="coefficient arithmetic "
-                        "(default rational)")
     common.add_argument("--precision", type=int, default=256, metavar="BITS",
-                        help="numeric precision in bits (default 256)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized checks (default 0)")
+                        help="bits of numeric coefficients; whether a result "
+                        "is rational does not depend on it (default 256)")
+    on_graph = argparse.ArgumentParser(add_help=False, parents=[common])
+    on_graph.add_argument("--mode", choices=("rational", "numeric"),
+                          default="rational", help="coefficient arithmetic "
+                          "(default rational)")
 
     parser = argparse.ArgumentParser(
         prog="lcgraph",
@@ -152,18 +152,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "graphs weighted by truncated power series in eps")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", parents=[common],
+    p = sub.add_parser("spectrum", parents=[on_graph],
                        help="eigenvalues and eigenfunctions of the probability "
                             "operator")
     p.add_argument("graph", help="graph file: one 'u v series' line per edge")
     p.set_defaults(fn=cmd_spectrum)
 
-    p = sub.add_parser("cheeger", parents=[common],
+    p = sub.add_parser("cheeger", parents=[on_graph],
                        help="exact Cheeger constant and both spectral estimates")
     p.add_argument("graph")
     p.set_defaults(fn=cmd_cheeger)
 
-    p = sub.add_parser("walk", parents=[common],
+    p = sub.add_parser("walk", parents=[on_graph],
                        help="iterate P^m f against its equilibrium with mixing "
                             "bounds")
     p.add_argument("graph")
@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "equilibrium")
     p.set_defaults(fn=cmd_walk)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[on_graph],
                        help="run every theorem check against one graph")
     p.add_argument("graph")
     p.set_defaults(fn=cmd_verify)
@@ -185,6 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="randomized consistency suite for the series field")
     p.add_argument("--count", type=count, default=10000,
                    help="number of randomized checks (default 10000)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the randomized checks (default 0)")
     p.set_defaults(fn=cmd_selftest)
     return parser
 

@@ -12,8 +12,9 @@ class ModeMismatchError(LCGraphError):
 class NumericModeRequired(LCGraphError):
     """An exact rational computation hit an irrational value.
 
-    Raised by square roots of non-square rationals and by root lifting when
-    the reduced polynomial has irrational roots.  Callers either switch the
+    Raised by square roots of non-square rationals and, inside root
+    lifting, by an irrational branch coefficient, where ``lift_roots``
+    catches it and redoes the lift numerically.  Callers either switch the
     whole computation to numeric coefficients or propagate the error.
     """
 

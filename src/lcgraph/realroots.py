@@ -1,10 +1,14 @@
 """Real roots, with multiplicity, of small univariate polynomials.
 
 Rational coefficients get the exact treatment: Yun's square-free
-decomposition for multiplicities, Sturm sequences for isolation, interval
-bisection in Fraction arithmetic, and a continued-fraction reconstruction
-step that certifies rational roots by exact evaluation.  Irrational roots
-are reported as floats at the working precision with ``is_exact=False``.
+decomposition for multiplicities, Sturm sequences for isolation and
+interval bisection in Fraction arithmetic.  A rational root p/q has q | L,
+L = |lead| times the lcm of the coefficient denominators, so two of them
+lie at least 1/L^2 apart: once an isolating interval is no wider than
+1/(2L^2), the fraction of denominator at most L nearest its midpoint is the
+only candidate, certified by exact evaluation.  Exactness thus never
+depends on the working precision.  Irrational roots are reported as
+floats at the working precision with ``is_exact=False``.
 
 Float (mpf) coefficients fall back to mpmath's polynomial root finder;
 close roots are clustered into multiplicities and nothing is exact.
@@ -14,6 +18,7 @@ Polynomials are coefficient sequences in ascending order of degree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
@@ -62,23 +67,12 @@ def _normalized(p: Sequence[Fraction]) -> List[Fraction]:
     return [c / lead for c in p]
 
 
-def _rem(a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
+def _divmod(a: Sequence[Fraction],
+            b: Sequence[Fraction]) -> Tuple[List[Fraction], List[Fraction]]:
+    """Quotient and remainder of polynomial long division."""
     a = _strip(list(a))
     db, lb = len(b) - 1, b[-1]
-    while a and len(a) - 1 >= db:
-        factor = a[-1] / lb
-        shift = len(a) - 1 - db
-        for i, c in enumerate(b):
-            a[i + shift] -= factor * c
-        a.pop()
-        _strip(a)
-    return a
-
-
-def _divexact(a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
-    a = _strip(list(a))
-    db, lb = len(b) - 1, b[-1]
-    quotient = {}
+    quotient = [Fraction(0)] * max(len(a) - db, 0)
     while a and len(a) - 1 >= db:
         deg = len(a) - 1 - db
         factor = a[-1] / lb
@@ -87,17 +81,20 @@ def _divexact(a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
             a[i + deg] -= factor * c
         a.pop()
         _strip(a)
-    if a:
+    return quotient, a
+
+
+def _divexact(a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
+    quotient, rest = _divmod(a, b)
+    if rest:
         raise ArithmeticError("division was not exact")
-    if not quotient:
-        return []
-    return [quotient.get(k, Fraction(0)) for k in range(max(quotient) + 1)]
+    return quotient
 
 
 def _gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
     a, b = _strip(list(a)), _strip(list(b))
     while b:
-        a, b = b, _rem(a, b)
+        a, b = b, _divmod(a, b)[1]
         if b:
             b = _normalized(b)
     return _normalized(a) if a else []
@@ -129,7 +126,7 @@ def square_free_decomposition(p: Sequence[Fraction]) -> List[Tuple[List[Fraction
 def _sturm_chain(p: Sequence[Fraction]) -> List[List[Fraction]]:
     chain = [_normalized(list(p)), _normalized(_derivative(p))]
     while len(chain[-1]) > 1:
-        r = _rem(chain[-2], chain[-1])
+        r = _divmod(chain[-2], chain[-1])[1]
         if not r:
             break
         chain.append(_normalized([-c for c in r]))
@@ -155,7 +152,23 @@ def _cauchy_bound(p: Sequence[Fraction]) -> Fraction:
     return 1 + max(abs(c) for c in p) / lead
 
 
-_RECONSTRUCT_LIMITS = (1, 16, 10**3, 10**6, 10**12, 10**24)
+def _bisect(f: Sequence[Fraction], a: Fraction, b: Fraction,
+            width: Fraction) -> Tuple[Fraction, Fraction]:
+    """Halve (a, b], which holds one simple root of f, until b - a <= width.
+
+    A midpoint that is itself the root comes back as the interval (m, m].
+    """
+    sa = _eval(f, a) > 0
+    while b - a > width:
+        m = (a + b) / 2
+        fm = _eval(f, m)
+        if fm == 0:
+            return m, m
+        if (fm > 0) == sa:
+            a = m
+        else:
+            b = m
+    return a, b
 
 
 def _squarefree_roots(f: List[Fraction]) -> List[RealRoot]:
@@ -179,37 +192,26 @@ def _squarefree_roots(f: List[Fraction]) -> List[RealRoot]:
             # exact rational root hit mid-split: deflate and redo the rest
             rest = _squarefree_roots(_divexact(f, [-m, Fraction(1)]))
             rest.append(RealRoot(m, 1, True))
-            rest.sort(key=lambda r: Fraction(r.value) if r.is_exact else Fraction(str(r.value)))
+            rest.sort(key=_sort_key)
             return rest
         nl = _count_roots(chain, a, m)
         queue.append((a, m, nl))
         queue.append((m, b, n - nl))
 
+    # denom is L of the module docstring.  An irrational root's float comes
+    # from the first interval no wider than width_goal, however far the
+    # candidate test halved beyond it.
+    denom = int(abs(f[-1]) * math.lcm(*(c.denominator for c in f)))
+    separation = Fraction(1, 2 * denom * denom)
     width_goal = Fraction(1, 2 ** (lcf.numeric_precision() + 16))
     for a, b in intervals:
-        # a single simple root in (a, b]; endpoints are never roots here
-        sa = _eval(f, a) > 0
-        exact = None
-        while b - a > width_goal:
-            m = (a + b) / 2
-            fm = _eval(f, m)
-            if fm == 0:
-                exact = m
-                break
-            if (fm > 0) == sa:
-                a = m
-            else:
-                b = m
-        if exact is None:
-            mid = (a + b) / 2
-            for limit in _RECONSTRUCT_LIMITS:
-                cand = mid.limit_denominator(limit)
-                if a < cand < b and _eval(f, cand) == 0:
-                    exact = cand
-                    break
-        if exact is not None:
-            roots.append(RealRoot(exact, 1, True))
+        a, b = _bisect(f, a, b, max(separation, width_goal))
+        lo, hi = _bisect(f, a, b, separation)
+        cand = ((lo + hi) / 2).limit_denominator(denom)
+        if lo <= cand <= hi and _eval(f, cand) == 0:
+            roots.append(RealRoot(cand, 1, True))
         else:
+            a, b = _bisect(f, a, b, width_goal)
             mid = (a + b) / 2
             roots.append(RealRoot(mpmath.mpf(mid.numerator) / mid.denominator, 1, False))
     return roots

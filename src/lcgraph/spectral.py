@@ -40,6 +40,11 @@ MAX_EXTENSIONS = 400
 MAX_NEWTON_STEPS = 120
 
 
+def _mode_of(rows) -> Optional[str]:
+    """The coefficient mode of the first entry that has one."""
+    return next((e.mode for row in rows for e in row if e.mode is not None), None)
+
+
 def _one_like(mode: Optional[str]) -> LCNumber:
     if mode == NUMERIC:
         return monomial(mpmath.mpf(1))
@@ -73,10 +78,7 @@ class LCPolynomial:
 
     @property
     def mode(self) -> Optional[str]:
-        for c in self.coeffs:
-            if c.mode is not None:
-                return c.mode
-        return None
+        return _mode_of([self.coeffs])
 
     def evaluate(self, x: LCNumber) -> LCNumber:
         acc = self.coeffs[-1]
@@ -135,15 +137,7 @@ def _mat_mul(a, b, n):
 def char_poly(m: OperatorMatrix) -> LCPolynomial:
     """det(x*I - M) by the Faddeev-LeVerrier recursion, ascending coeffs."""
     n = m.n
-    mode = None
-    for row in m.rows:
-        for e in row:
-            if e.mode is not None:
-                mode = e.mode
-                break
-        if mode:
-            break
-    one = _one_like(mode)
+    one = _one_like(_mode_of(m.rows))
     a = [list(row) for row in m.rows]
     work = [row[:] for row in a]
     cs = []  # c_1 .. c_n with p(x) = x^n + c_1 x^(n-1) + ... + c_n
@@ -295,32 +289,24 @@ def _val_positive_roots(q: LCPolynomial, depth: int = 0) -> List[LCNumber]:
     return out
 
 
-def lift_roots(p: LCPolynomial, mode: str = "auto") -> List[LCNumber]:
+def lift_roots(p: LCPolynomial) -> List[LCNumber]:
     """All roots of p as series, with multiplicity, via the eps = 0 reduction.
 
-    mode "rational" insists on exact arithmetic and raises
-    NumericModeRequired when an irrational coefficient appears; "numeric"
-    lifts with float coefficients; "auto" tries exact first.
+    A polynomial with rational coefficients is lifted exactly while every
+    branch coefficient stays rational; the first irrational one redoes the
+    whole lift with float coefficients.  Numeric polynomials lift in float
+    arithmetic throughout.
     """
-    if mode not in ("auto", RATIONAL, NUMERIC):
-        raise ValueError(f"unknown mode {mode!r}")
-    if p.mode == NUMERIC and mode == RATIONAL:
-        raise NumericModeRequired("polynomial already has numeric coefficients")
     reduced = p.reduced_coeffs()
     base = real_roots(reduced)
     if sum(r.multiplicity for r in base) != p.degree:
         raise LiftError("the eps = 0 reduction has non-real roots; "
                         "the spectrum does not lift inside the real series field")
-    exact_base = all(r.is_exact for r in base)
-    if p.mode != NUMERIC and mode != NUMERIC and exact_base:
+    if p.mode != NUMERIC and all(r.is_exact for r in base):
         try:
             return _lift_all(p, [(Fraction(r.value), r.multiplicity) for r in base])
         except NumericModeRequired:
-            if mode == RATIONAL:
-                raise
-    elif mode == RATIONAL:
-        raise NumericModeRequired(
-            "the eps = 0 reduction has irrational roots; numeric mode required")
+            pass
     pn = p.to_numeric()
     pairs = []
     for r in base:
@@ -354,8 +340,11 @@ def _pivot_key(e: LCNumber):
 
 
 def nullspace_basis(rows: List[List[LCNumber]], expected: int,
-                    mode: Optional[str], floor=INF) -> List[List[LCNumber]]:
+                    floor=INF) -> List[List[LCNumber]]:
     """Basis of the kernel of a square matrix by exact Gaussian elimination.
+
+    The basis vectors take the rows' coefficient mode: their free
+    coordinate is a rational 1, or a float 1 when any entry is numeric.
 
     Pivots take the entry of minimal leading exponent (largest in the field
     order), ties broken by largest leading coefficient.  For pivot selection
@@ -368,6 +357,7 @@ def nullspace_basis(rows: List[List[LCNumber]], expected: int,
     ``expected``.
     """
     n = len(rows)
+    one = _one_like(_mode_of(rows))
     rows = [list(r) for r in rows]
     pivots = {}
     rank = 0
@@ -402,7 +392,7 @@ def nullspace_basis(rows: List[List[LCNumber]], expected: int,
     basis = []
     for fcol in free:
         vec = [zero() for _ in range(n)]
-        vec[fcol] = _one_like(mode)
+        vec[fcol] = one
         for c, r in pivots.items():
             vec[c] = -rows[r][fcol]
         basis.append(vec)
@@ -470,7 +460,7 @@ def _decompose(g: OFGraph, mode: str, t_req: Fraction):
     if mode == NUMERIC:
         p_mat = p_mat.to_numeric()
     p = char_poly(p_mat)
-    alphas = lift_roots(p, mode=mode)
+    alphas = lift_roots(p)
     out_mode = NUMERIC if any(a.mode == NUMERIC for a in alphas) else RATIONAL
     if out_mode == NUMERIC:
         p_mat = p_mat.to_numeric()
@@ -494,7 +484,7 @@ def _decompose(g: OFGraph, mode: str, t_req: Fraction):
         rows = []
         for i, row in enumerate(p_mat.rows):
             rows.append([e - alpha if i == j else e for j, e in enumerate(row)])
-        basis = nullspace_basis(rows, mult, out_mode, floor=t_req)
+        basis = nullspace_basis(rows, mult, floor=t_req)
         if mult > 1:
             basis = _gram_schmidt(g_work, basis)
         for vec in basis:
@@ -522,15 +512,17 @@ def compute_spectrum(g: OFGraph, trunc_order=None, mode: str = "auto") -> Spectr
     that margin (to four, then eight times the request) when an eigenvalue
     sits so deep that root lifting runs out of resolution.  mode "auto" stays
     rational when every eigenvalue series has rational coefficients and
-    otherwise redoes the lift numerically.
+    otherwise redoes the lift numerically; which of the two happens depends
+    on the graph and the order alone, not on the numeric precision.  mode
+    "numeric" lifts with float coefficients from the start.
     """
+    if mode not in ("auto", NUMERIC):
+        raise ValueError(f"unknown mode {mode!r}; expected 'auto' or 'numeric'")
     if not g.is_connected():
         raise GraphValidationError("spectrum requires a connected graph")
     if not (2 <= g.n <= MAX_VERTICES):
         raise GraphValidationError(
             f"vertex count {g.n} outside the supported range [2, {MAX_VERTICES}]")
-    if mode == RATIONAL and g.mode == NUMERIC:
-        raise NumericModeRequired("graph weights are numeric; rational mode impossible")
     t_req = Fraction(trunc_order if trunc_order is not None else default_truncation())
     failure = None
     for factor in (2, 4, 8):

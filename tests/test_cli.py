@@ -36,6 +36,17 @@ def test_golden_output(name, capsys):
     assert out == (GOLDEN / name).read_text()
 
 
+@pytest.mark.parametrize("name", sorted(
+    name for name, argv in CASES.items() if "numeric" not in argv))
+def test_rational_golden_output_at_64_bits(name, capsys):
+    # exactness is read off the graph, so no golden may need the default
+    # 256 bits to come out rational
+    command, *rest = CASES[name]
+    code, out, err = run_cli([command, "--precision", "64", *rest], capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / name).read_text()
+
+
 def test_output_is_deterministic(capsys):
     first = run_cli(["spectrum", "--mode", "numeric", "fig1.ofg"], capsys)
     second = run_cli(["spectrum", "--mode", "numeric", "fig1.ofg"], capsys)
@@ -103,6 +114,8 @@ def test_precision_is_restored_after_main(capsys):
     ["walk", "fig1.ofg", "--f", "delta1.fn", "--steps", "0"],
     ["selftest", "--count", "-5"],
     ["spectrum", "--trunc", "1/0", "fig1.ofg"],
+    ["spectrum", "--seed", "1", "k2.ofg"],
+    ["selftest", "--mode", "numeric"],
 ])
 def test_bad_flag_value_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:

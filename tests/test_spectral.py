@@ -10,7 +10,6 @@ import pytest
 from lcgraph import (
     GraphValidationError,
     MAX_VERTICES,
-    NumericModeRequired,
     OFGraph,
     apply,
     compute_spectrum,
@@ -109,7 +108,8 @@ def test_fig2_alpha_is_rational_geometric():
 
 def test_fig1_alpha_needs_numeric_and_squares_to_rational():
     g = parse_graph(FIG1)
-    with pytest.raises(NumericModeRequired):
+    # exactness is read off the graph; there is no mode that insists on it
+    with pytest.raises(ValueError):
         compute_spectrum(g, mode="rational")
     spec = compute_spectrum(g, trunc_order=8, mode="auto")
     assert spec.mode == "numeric"
