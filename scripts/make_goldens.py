@@ -18,11 +18,14 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 GOLDEN = ROOT / "tests" / "golden"
 
-# sqrt-bearing spectra (fig1) are recorded in numeric mode; everything
-# else stays rational
+# a spectrum comes out numeric only where a root is irrational (fig1's
+# sqrt-bearing eigenvalues); everything else stays rational
 CASES = {
-    "fig1.spectrum.txt": ["spectrum", "--mode", "numeric", "fig1.ofg"],
+    "fig1.spectrum.txt": ["spectrum", "fig1.ofg"],
     "fig2.spectrum.txt": ["spectrum", "fig2.ofg"],
+    # fig2 with every weight halved and written as decimals, which are
+    # exact: P and so the output are fig2's
+    "fig2-decimal.spectrum.txt": ["spectrum", "fig2-decimal.ofg"],
     "k2.spectrum.txt": ["spectrum", "k2.ofg"],
     "triangle.spectrum.txt": ["spectrum", "triangle.ofg"],
     "fig1.cheeger.txt": ["cheeger", "fig1.ofg"],

@@ -18,7 +18,7 @@ from .cheeger import cheeger_constant, cheeger_inequality_check
 from .errors import LCGraphError
 from .graphs import dump_graph, load_function, load_graph
 from .selfcheck import run_selfcheck
-from .series import (NUMERIC, format_series, numeric_precision,
+from .series import (exact_literal, format_series, numeric_precision,
                      set_numeric_precision, truncation)
 from .spectral import compute_spectrum, verify_spectral_theorems
 from .walks import h_convergence_verdict, iterate
@@ -30,15 +30,9 @@ def _series(x) -> str:
     return format_series(x, digits=DISPLAY_DIGITS)
 
 
-def _spectrum(g, args):
-    # rational inputs may still need numeric root lifting; "auto" retries
-    mode = NUMERIC if args.mode == NUMERIC else "auto"
-    return compute_spectrum(g, trunc_order=args.trunc, mode=mode)
-
-
 def cmd_spectrum(args) -> Tuple[str, int]:
-    g = load_graph(args.graph, mode=args.mode)
-    spec = _spectrum(g, args)
+    g = load_graph(args.graph)
+    spec = compute_spectrum(g, trunc_order=args.trunc)
     lines = [f"n = {g.n} ; mode = {spec.mode} ; trunc = {spec.trunc_order} ; "
              f"residual_order = {spec.residual_order}"]
     # pairs are computed at an elevated internal order; display at the
@@ -52,9 +46,9 @@ def cmd_spectrum(args) -> Tuple[str, int]:
 
 
 def cmd_cheeger(args) -> Tuple[str, int]:
-    g = load_graph(args.graph, mode=args.mode)
+    g = load_graph(args.graph)
     cut = cheeger_constant(g)
-    spec = _spectrum(g, args)
+    spec = compute_spectrum(g, trunc_order=args.trunc)
     rep = cheeger_inequality_check(g, spec, cut)
     lines = [f"h = {_series(cut.h)}",
              "subset = {" + ", ".join(cut.subset) + "}",
@@ -64,9 +58,9 @@ def cmd_cheeger(args) -> Tuple[str, int]:
 
 
 def cmd_walk(args) -> Tuple[str, int]:
-    g = load_graph(args.graph, mode=args.mode)
-    f = load_function(args.f, g, mode=args.mode)
-    spec = _spectrum(g, args)
+    g = load_graph(args.graph)
+    f = load_function(args.f, g)
+    spec = compute_spectrum(g, trunc_order=args.trunc)
     cut = cheeger_constant(g)
     walk_mode = "bipartite" if args.bipartite else "full"
     rep = iterate(g, f, m_max=args.steps, mode=walk_mode, spectrum=spec, cut=cut)
@@ -97,8 +91,8 @@ def cmd_walk(args) -> Tuple[str, int]:
 
 
 def cmd_verify(args) -> Tuple[str, int]:
-    g = load_graph(args.graph, mode=args.mode)
-    spec = _spectrum(g, args)
+    g = load_graph(args.graph)
+    spec = compute_spectrum(g, trunc_order=args.trunc)
     spectral_rep = verify_spectral_theorems(g, spec)
     cut = cheeger_constant(g)
     cheeger_rep = cheeger_inequality_check(g, spec, cut)
@@ -118,9 +112,10 @@ def cmd_selftest(args) -> Tuple[str, int]:
 
 
 def rational(text: str) -> Fraction:
-    """'8', '17/2' and similar; argparse reports a ValueError as bad input."""
+    """'8', '17/2', '2.5' and similar; argparse reports a ValueError as bad input."""
+    num, slash, den = text.partition("/")
     try:
-        return Fraction(text)
+        return exact_literal(num) / exact_literal(den if slash else "1")
     except ZeroDivisionError as exc:
         raise ValueError(text) from exc
 
@@ -141,10 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--precision", type=int, default=256, metavar="BITS",
                         help="bits of numeric coefficients; whether a result "
                         "is rational does not depend on it (default 256)")
-    on_graph = argparse.ArgumentParser(add_help=False, parents=[common])
-    on_graph.add_argument("--mode", choices=("rational", "numeric"),
-                          default="rational", help="coefficient arithmetic "
-                          "(default rational)")
 
     parser = argparse.ArgumentParser(
         prog="lcgraph",
@@ -152,18 +143,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "graphs weighted by truncated power series in eps")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", parents=[on_graph],
+    p = sub.add_parser("spectrum", parents=[common],
                        help="eigenvalues and eigenfunctions of the probability "
                             "operator")
     p.add_argument("graph", help="graph file: one 'u v series' line per edge")
     p.set_defaults(fn=cmd_spectrum)
 
-    p = sub.add_parser("cheeger", parents=[on_graph],
+    p = sub.add_parser("cheeger", parents=[common],
                        help="exact Cheeger constant and both spectral estimates")
     p.add_argument("graph")
     p.set_defaults(fn=cmd_cheeger)
 
-    p = sub.add_parser("walk", parents=[on_graph],
+    p = sub.add_parser("walk", parents=[common],
                        help="iterate P^m f against its equilibrium with mixing "
                             "bounds")
     p.add_argument("graph")
@@ -176,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "equilibrium")
     p.set_defaults(fn=cmd_walk)
 
-    p = sub.add_parser("verify", parents=[on_graph],
+    p = sub.add_parser("verify", parents=[common],
                        help="run every theorem check against one graph")
     p.add_argument("graph")
     p.set_defaults(fn=cmd_verify)

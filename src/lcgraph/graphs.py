@@ -5,7 +5,7 @@ whose values are strictly positive Levi-Civita series; b(x,y) = 0 marks a
 non-edge and loops are not allowed.  Vertex weights b(x) = sum_y b(x,y)
 normalise the transition weights p(x,y) = b(x,y)/b(x) of the random walk.
 
-The text format is one edge per line, ``<u> <v) <weight series>``, with
+The text format is one edge per line, ``<u> <v> <weight series>``, with
 ``#`` comment lines; vertex functions are ``<vertex> <series>`` lines.
 """
 
@@ -306,8 +306,8 @@ def _read_text(path) -> str:
             f"{data[exc.start:exc.start + 1]!r}") from exc
 
 
-def load_graph(path, mode: str = RATIONAL) -> OFGraph:
-    return parse_graph(_read_text(path), mode=mode)
+def load_graph(path) -> OFGraph:
+    return parse_graph(_read_text(path))
 
 
 def dump_graph(g: OFGraph) -> str:
@@ -333,5 +333,5 @@ def parse_function(text: str, graph: OFGraph, mode: str = RATIONAL) -> VertexFun
     return VertexFunction.from_mapping(graph.vertices, mapping)
 
 
-def load_function(path, graph: OFGraph, mode: str = RATIONAL) -> VertexFunction:
-    return parse_function(_read_text(path), graph, mode=mode)
+def load_function(path, graph: OFGraph) -> VertexFunction:
+    return parse_function(_read_text(path), graph)

@@ -628,6 +628,30 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
+# the most digits the exact value of one literal may need: Python's own
+# int-string limit, so no literal overflows int() or expands a power of
+# ten like 1e1000000000 for good
+MAX_LITERAL_DIGITS = 4300
+
+
+def exact_literal(text: str) -> Fraction:
+    """The exact value of a decimal literal: ``12``, ``0.5``, ``2.5e-3``
+    (= 1/400).  Raises ValueError when it is malformed, or when its
+    mantissa digits plus the size of its net exponent exceed
+    MAX_LITERAL_DIGITS."""
+    mantissa, _, exp = text.lower().partition("e")
+    whole, _, frac = mantissa.partition(".")
+    # the exponent is read only once it is too short to be huge
+    if len(exp.lstrip("+-0")) <= len(str(MAX_LITERAL_DIGITS)):
+        shift = int(exp or 0) - len(frac)
+        if len(whole + frac) + abs(shift) <= MAX_LITERAL_DIGITS:
+            digits = int(whole + frac)
+            if shift < 0:
+                return Fraction(digits, 10 ** -shift)
+            return Fraction(digits * 10 ** shift)
+    raise ValueError(f"literal needs more than {MAX_LITERAL_DIGITS} digits")
+
+
 def _tokenize(text):
     tokens = []
     pos = 0
@@ -732,25 +756,31 @@ class _Parser:
             return self.parse_exponent()
         return Fraction(1)
 
+    def literal(self, tok) -> Fraction:
+        try:
+            return exact_literal(tok[1])
+        except ValueError as exc:
+            raise SeriesParseError(str(exc), position=tok[2]) from exc
+
     def parse_ratio(self, what, den_what) -> Fraction:
         """int[/int]; ``what`` and ``den_what`` name the two ints in errors."""
-        num = int(self.take("int", what=what)[1])
+        num = self.literal(self.take("int", what=what))
         if not self.peek("sym", "/"):
-            return Fraction(num)
+            return num
         self.take()
         den_tok = self.take("int", what=den_what)
-        if int(den_tok[1]) == 0:
+        den = self.literal(den_tok)
+        if den == 0:
             raise SeriesParseError("zero denominator", position=den_tok[2])
-        return Fraction(num, int(den_tok[1]))
+        return num / den
 
     def parse_coeff(self):
         tok = self.peek("decimal")
         if tok is not None:
             self.take()
-            if self.mode == RATIONAL:
-                raise SeriesParseError(
-                    "decimal coefficients need numeric mode", position=tok[2])
-            return mpmath.mpf(tok[1])
+            value = self.literal(tok)  # bounds the literal in either mode
+            # mpf reads the text with one rounding; _frac_to_mpf could round twice
+            return mpmath.mpf(tok[1]) if self.mode == NUMERIC else value
         value = self.parse_ratio("coefficient", "denominator")
         if self.mode == NUMERIC:
             return _frac_to_mpf(value)
@@ -768,16 +798,19 @@ class _Parser:
             return sign_ * q
         if self.peek("sym", "-"):
             self.take()
-            return -Fraction(int(self.take("int", what="exponent")[1]))
-        return Fraction(int(self.take("int", what="exponent")[1]))
+            return -self.literal(self.take("int", what="exponent"))
+        return self.literal(self.take("int", what="exponent"))
 
 
 def parse_series(text: str, mode: str = RATIONAL) -> LCNumber:
     """Parse a series literal like ``1/2 - 3*eps^2 + eps^(1/2)``.
 
-    In rational mode coefficients must be integers or fractions; numeric
-    mode also accepts decimals and converts everything to floats.  An
-    optional trailing ``+ O(eps^T)`` records a truncation order.
+    Coefficients are integers, fractions or decimals.  In rational mode a
+    decimal is the exact rational it names (``0.5`` is 1/2, ``2.5e-3`` is
+    1/400); numeric mode converts every coefficient to a float.  A literal
+    whose exact value needs more than MAX_LITERAL_DIGITS digits is
+    refused.  An optional trailing ``+ O(eps^T)`` records a truncation
+    order.
     """
     return _Parser(text, mode).parse()
 

@@ -453,12 +453,10 @@ def _gram_schmidt(g: OFGraph, vecs: List[List[LCNumber]]) -> List[List[LCNumber]
     return done
 
 
-def _decompose(g: OFGraph, mode: str, t_req: Fraction):
+def _decompose(g: OFGraph, t_req: Fraction):
     # runs at the ambient truncation order; raises LiftError when that
     # order leaves too little resolution below the deepest eigenvalue
     p_mat = probability_matrix(g)
-    if mode == NUMERIC:
-        p_mat = p_mat.to_numeric()
     p = char_poly(p_mat)
     alphas = lift_roots(p)
     out_mode = NUMERIC if any(a.mode == NUMERIC for a in alphas) else RATIONAL
@@ -510,11 +508,11 @@ def compute_spectrum(g: OFGraph, trunc_order=None, mode: str = "auto") -> Spectr
 
     Works at twice the requested truncation order internally and doubles
     that margin (to four, then eight times the request) when an eigenvalue
-    sits so deep that root lifting runs out of resolution.  mode "auto" stays
-    rational when every eigenvalue series has rational coefficients and
-    otherwise redoes the lift numerically; which of the two happens depends
-    on the graph and the order alone, not on the numeric precision.  mode
-    "numeric" lifts with float coefficients from the start.
+    sits so deep that root lifting runs out of resolution.  The spectrum
+    stays rational when every eigenvalue series has rational coefficients
+    and otherwise redoes the lift numerically, depending on the graph and
+    the order alone, not on the numeric precision.  mode "numeric" returns
+    the same spectrum with float coefficients in its pairs and ``char``.
     """
     if mode not in ("auto", NUMERIC):
         raise ValueError(f"unknown mode {mode!r}; expected 'auto' or 'numeric'")
@@ -529,12 +527,16 @@ def compute_spectrum(g: OFGraph, trunc_order=None, mode: str = "auto") -> Spectr
         t_work = factor * t_req
         try:
             with truncation(t_work):
-                pairs, out_mode, p, residual = _decompose(g, mode, t_req)
+                pairs, out_mode, p, residual = _decompose(g, t_req)
             break
         except LiftError as exc:
             failure = exc
     else:
         raise failure
+    if mode == NUMERIC:
+        pairs = [EigenPair(e.lam.to_numeric(), e.alpha.to_numeric(),
+                           e.function.to_numeric()) for e in pairs]
+        out_mode, p = NUMERIC, p.to_numeric()
     return Spectrum(graph=g, pairs=pairs, mode=out_mode, trunc_order=t_req,
                     work_order=t_work, char=p, residual_order=residual)
 

@@ -363,12 +363,29 @@ def test_parse_error_reports_position():
     ("O(1)", "expected eps inside O(...)", 3),
     ("- O(eps)", "truncation marker cannot be negated", 9),
     ("eps^", "expected exponent", 5),
+    # no literal may need more digits than Python's int-string limit
+    ("1 + " + "7" * 5000, "literal needs more than 4300 digits", 5),
+    ("1/" + "3" * 5000, "literal needs more than 4300 digits", 3),
+    ("eps^" + "2" * 5000, "literal needs more than 4300 digits", 5),
+    ("1e1000000000*eps", "literal needs more than 4300 digits", 1),
+    ("eps - 2.5e-" + "9" * 5000, "literal needs more than 4300 digits", 7),
+    ("0." + "1" * 4300, "literal needs more than 4300 digits", 1),
 ])
 def test_parse_error_messages(text, message, column):
     for mode in ("rational", "numeric"):
         with pytest.raises(SeriesParseError) as exc:
             parse_series(text, mode)
         assert str(exc.value) == f"{message} (column {column})"
+
+
+def test_decimal_literals_are_exact():
+    assert s("0.5").identical(s("1/2"))
+    assert s("2.5e-3*eps").identical(s("1/400*eps"))
+    assert s("0.50 - .25*eps^2 + 3E2*eps^3").identical(s("1/2 - 1/4*eps^2 + 300*eps^3"))
+    # the size bound counts digits plus the net decimal exponent
+    assert s("1" * 4300).lead_coeff == int("1" * 4300)
+    assert s("1e4299").lead_coeff == 10 ** 4299
+    assert s("1" * 4000 + "e-300").lead_coeff == Fraction(int("1" * 4000), 10 ** 300)
 
 
 def test_format_round_trip_rational():

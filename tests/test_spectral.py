@@ -120,6 +120,27 @@ def test_fig1_alpha_needs_numeric_and_squares_to_rational():
     assert sq.is_zero
 
 
+@pytest.mark.parametrize("name", ["fig2", "k4"])
+def test_numeric_mode_is_the_exact_spectrum_in_floats(name, request):
+    # both spectra have multiple eps = 0 roots, which a lift in floats
+    # from the start cannot resolve; numeric mode converts the exact lift
+    g = request.getfixturevalue(name)
+    spec = compute_spectrum(g, trunc_order=8, mode="numeric")
+    assert spec.mode == "numeric"
+    assert verify_spectral_theorems(g, spec).passed
+    exact = compute_spectrum(g, trunc_order=8)
+    assert exact.mode == "rational"
+    assert (spec.residual_order, spec.work_order) == (exact.residual_order,
+                                                      exact.work_order)
+    for num, rat in zip(spec.pairs, exact.pairs):
+        assert num.alpha.identical(rat.alpha.to_numeric())
+        assert num.lam.identical(rat.lam.to_numeric())
+        assert all(a.identical(b.to_numeric())
+                   for a, b in zip(num.function.values, rat.function.values))
+    assert all(a.identical(b.to_numeric())
+               for a, b in zip(spec.char.coeffs, exact.char.coeffs))
+
+
 def test_residual_certified_on_random_graphs():
     rng = random.Random(7)
     for _ in range(8):
