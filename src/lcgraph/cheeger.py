@@ -213,7 +213,9 @@ def cheeger_constant(g: OFGraph) -> CheegerCut:
 
 
 def _match_mode(a: LCNumber, b: LCNumber) -> Tuple[LCNumber, LCNumber]:
-    # lift the rational operand when exactly one side is numeric
+    # the comparisons would convert on their own; this decides what the
+    # report prints, both sides of a line in one mode (fig1's golden shows
+    # "1-h^2 = 4.0*eps ..." and "h^2 = 1.0 - ..." next to a numeric alpha_1)
     if a.mode == NUMERIC and b.mode not in (NUMERIC, None):
         return a, b.to_numeric()
     if b.mode == NUMERIC and a.mode not in (NUMERIC, None):

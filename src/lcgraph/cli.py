@@ -18,8 +18,8 @@ from .cheeger import cheeger_constant, cheeger_inequality_check
 from .errors import LCGraphError
 from .graphs import dump_graph, load_function, load_graph
 from .selfcheck import run_selfcheck
-from .series import (exact_literal, format_series, numeric_precision,
-                     set_numeric_precision, truncation)
+from .series import (MAX_PRECISION_BITS, exact_literal, format_series,
+                     numeric_precision, set_numeric_precision, truncation)
 from .spectral import compute_spectrum, verify_spectral_theorems
 from .walks import h_convergence_verdict, iterate
 
@@ -128,14 +128,22 @@ def count(text: str) -> int:
     return value
 
 
+def bits(text: str) -> int:
+    """--precision, refused above MAX_PRECISION_BITS while parsing flags."""
+    if int(text) > MAX_PRECISION_BITS:
+        raise argparse.ArgumentTypeError(f"at most {MAX_PRECISION_BITS} bits")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--trunc", type=rational, default=Fraction(8),
                         metavar="Q", help="truncation order, a positive rational "
                         "(default 8)")
-    common.add_argument("--precision", type=int, default=256, metavar="BITS",
-                        help="bits of numeric coefficients; whether a result "
-                        "is rational does not depend on it (default 256)")
+    common.add_argument("--precision", type=bits, default=256, metavar="BITS",
+                        help="bits of numeric coefficients, 64 to "
+                        f"{MAX_PRECISION_BITS}; whether a result is rational "
+                        "does not depend on it (default 256)")
 
     parser = argparse.ArgumentParser(
         prog="lcgraph",

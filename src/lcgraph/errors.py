@@ -6,7 +6,8 @@ class LCGraphError(Exception):
 
 
 class ModeMismatchError(LCGraphError):
-    """Rational and numeric coefficients were mixed in one computation."""
+    """Rational and numeric coefficients were given for one series; only
+    the LCNumber constructor raises it, as arithmetic converts to floats."""
 
 
 class NumericModeRequired(LCGraphError):

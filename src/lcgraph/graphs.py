@@ -92,20 +92,14 @@ class OFGraph:
         """b(x) = sum of the weights of edges at x; strictly positive."""
         cached = self._vertex_weight.get(x)
         if cached is None:
-            acc = zero()
-            for w in self._adj[x].values():
-                acc = acc + w
-            cached = acc
-            self._vertex_weight[x] = cached
+            cached = self._vertex_weight[x] = sum(self._adj[x].values(), zero())
         return cached
 
     def total_weight(self) -> LCNumber:
         """b(V) = sum of all vertex weights (each edge counted twice)."""
         if self._total is None:
-            acc = zero()
-            for x in self.vertices:
-                acc = acc + self.vertex_weight(x)
-            object.__setattr__(self, "_total", acc)
+            object.__setattr__(self, "_total",
+                               sum(map(self.vertex_weight, self.vertices), zero()))
         return self._total
 
     def transition(self, x: str, y: str) -> LCNumber:
@@ -166,19 +160,6 @@ class OFGraph:
 
     def is_complete(self) -> bool:
         return all(len(self._adj[x]) == self.n - 1 for x in self.vertices)
-
-    @property
-    def mode(self) -> str:
-        for u in self.vertices:
-            for w in self._adj[u].values():
-                if w.mode is not None:
-                    return w.mode
-        return RATIONAL
-
-    def to_numeric(self) -> "OFGraph":
-        adj = {u: {v: w.to_numeric() for v, w in nb.items()}
-               for u, nb in self._adj.items()}
-        return OFGraph(self.vertices, adj)
 
     def __repr__(self) -> str:
         return f"OFGraph({self.n} vertices, {len(self.edges())} edges)"

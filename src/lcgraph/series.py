@@ -15,6 +15,11 @@ Coefficients come in two modes that must not be mixed inside one number:
   precision are canonicalised away, so signs of surviving coefficients are
   meaningful.
 
+One rule decides a result's mode, as for Python's ``Fraction + float``:
+where a rational operand meets a numeric one in ``+``, ``-``, ``*``, ``/``
+or a comparison, the rational side is converted with ``to_numeric()``
+first.  A zero, which has no mode, takes the other operand's.
+
 Addition and multiplication propagate truncation orders the obvious way
 (min of the operand orders, shifted by leading exponents for products).
 Inversion and square roots share one coefficient recurrence for the
@@ -33,7 +38,8 @@ from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import mpmath
 
-from .errors import ModeMismatchError, NumericModeRequired, SeriesParseError
+from .errors import (LCGraphError, ModeMismatchError, NumericModeRequired,
+                     SeriesParseError)
 
 INF = math.inf
 
@@ -56,8 +62,8 @@ def set_numeric_precision(bits: int) -> None:
     """
     global _precision_bits, _tau
     bits = int(bits)
-    if bits < 64:
-        raise ValueError("numeric precision below 64 bits is not supported")
+    if not 64 <= bits <= MAX_PRECISION_BITS:
+        raise ValueError(f"numeric precision must be 64 to {MAX_PRECISION_BITS} bits")
     _precision_bits = bits
     mpmath.mp.prec = bits
     _tau = mpmath.mpf(2) ** (-(bits // 2))
@@ -119,6 +125,11 @@ def _split_coeff(c) -> Tuple[Coefficient, str]:
 
 def _frac_to_mpf(x: Fraction) -> mpmath.mpf:
     return mpmath.mpf(x.numerator) / x.denominator
+
+
+# the most coefficients _binomial expands: fixtures, tests and benchmark
+# workloads need at most 204, eps^(1/1000000007) would need billions
+MAX_LATTICE_POINTS = 10_000
 
 
 def _lattice(t, *term_seqs):
@@ -231,21 +242,21 @@ class LCNumber:
         if isinstance(other, LCNumber):
             return other
         if isinstance(other, (int, Fraction)):
-            if self.mode == NUMERIC:
-                return monomial(_frac_to_mpf(Fraction(other)))
             return monomial(Fraction(other))
         if isinstance(other, (float, mpmath.mpf)):
             return monomial(mpmath.mpf(other))
         return None
 
-    def _join_mode(self, other: "LCNumber") -> Optional[str]:
-        if self.mode is None:
-            return other.mode
-        if other.mode is None or other.mode == self.mode:
-            return self.mode
-        raise ModeMismatchError(
-            "cannot combine rational-mode and numeric-mode series; "
-            "convert one side with to_numeric()")
+    def _join(self, other: "LCNumber"):
+        # (self, other, mode) in the result's mode: the module's one rule
+        ma, mb = self.mode, other.mode
+        if ma == mb or mb is None:
+            return self, other, ma
+        if ma is None:
+            return self, other, mb
+        if ma == NUMERIC:
+            return self, other.to_numeric(), ma
+        return self.to_numeric(), other, mb
 
     # -- ring operations --------------------------------------------------
 
@@ -253,9 +264,9 @@ class LCNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        mode = self._join_mode(other)
-        trunc = min(self.trunc, other.trunc)
-        a, b = self.terms, other.terms
+        a, b, mode = self._join(other)
+        trunc = min(a.trunc, b.trunc)
+        a, b = a.terms, b.terms
         na, nb = len(a), len(b)
         numeric = mode == NUMERIC
         out = []
@@ -306,12 +317,11 @@ class LCNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        mode = self._join_mode(other)
-        t = _as_trunc(min(self.trunc + other.lead_exp,
-                          other.trunc + self.lead_exp))
-        if not self.terms or not other.terms:
+        a, b, mode = self._join(other)
+        t = _as_trunc(min(a.trunc + b.lead_exp, b.trunc + a.lead_exp))
+        if not a.terms or not b.terms:
             return LCNumber._raw((), t, None)
-        den, cut, (a, b) = _lattice(t, self.terms, other.terms)
+        den, cut, (a, b) = _lattice(t, a.terms, b.terms)
         b0 = b[0][0]
         prod = {}
         for qa, ca in a:
@@ -353,13 +363,15 @@ class LCNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self * other.inverse()
+        a, b, _ = self._join(other)  # a rational divisor inverts in floats
+        return a * b.inverse()
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other * self.inverse()
+        a, b, _ = other._join(self)
+        return a * b.inverse()
 
     # -- field operations -------------------------------------------------
 
@@ -417,6 +429,10 @@ class LCNumber:
         tail = LCNumber._raw(self.terms[1:], self.trunc, self.mode)
         u = (tail * monomial(1 / c, -q)).truncate(t_rel)
         den, cut, (u_keys,) = _lattice(t_rel, u.terms)
+        if cut > MAX_LATTICE_POINTS:
+            raise LCGraphError(f"expanding to relative order {t_rel} on the "
+                               f"exponent lattice 1/{den} needs {cut} "
+                               f"coefficients, more than {MAX_LATTICE_POINTS}")
         n, d = a.numerator, a.denominator
         numeric = self.mode == NUMERIC
         w = [mpmath.mpf(1) if numeric else Fraction(1)] + [0] * (cut - 1)
@@ -557,20 +573,17 @@ def comparable(a: LCNumber, b) -> bool:
     their leading exponents and leading coefficients coincide (numeric
     coefficients: up to the zero threshold).
     """
-    if not isinstance(b, LCNumber):
-        coerced = a._coerce(b)
-        if coerced is None:
-            raise TypeError(f"cannot compare series with {type(b).__name__}")
-        b = coerced
+    coerced = a._coerce(b)
+    if coerced is None:
+        raise TypeError(f"cannot compare series with {type(b).__name__}")
+    a, b, mode = a._join(coerced)
     if a.is_zero or b.is_zero:
         return a.is_zero and b.is_zero
     qa, ca = a.terms[0]
     qb, cb = b.terms[0]
     if qa != qb:
         return False
-    if a.mode == NUMERIC or b.mode == NUMERIC:
-        ca = _frac_to_mpf(ca) if isinstance(ca, Fraction) else ca
-        cb = _frac_to_mpf(cb) if isinstance(cb, Fraction) else cb
+    if mode == NUMERIC:
         return abs(ca - cb) < _tau
     return ca == cb
 
@@ -632,6 +645,11 @@ _TOKEN_RE = re.compile(r"""
 # int-string limit, so no literal overflows int() or expands a power of
 # ten like 1e1000000000 for good
 MAX_LITERAL_DIGITS = 4300
+
+# the most bits at which a printed coefficient in [0.1, 1), such as 3/7,
+# reparses: it has dps + 5 digits after the point, and exact_literal counts
+# each as a digit and as a decimal shift; 7127 bits give 2*(2144+5)+1 <= 4300
+MAX_PRECISION_BITS = 7127
 
 
 def exact_literal(text: str) -> Fraction:

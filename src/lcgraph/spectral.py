@@ -137,6 +137,7 @@ def _mat_mul(a, b, n):
 def char_poly(m: OperatorMatrix) -> LCPolynomial:
     """det(x*I - M) by the Faddeev-LeVerrier recursion, ascending coeffs."""
     n = m.n
+    # the leading coefficient takes the matrix's mode, as the others do
     one = _one_like(_mode_of(m.rows))
     a = [list(row) for row in m.rows]
     work = [row[:] for row in a]
@@ -461,9 +462,11 @@ def _decompose(g: OFGraph, t_req: Fraction):
     alphas = lift_roots(p)
     out_mode = NUMERIC if any(a.mode == NUMERIC for a in alphas) else RATIONAL
     if out_mode == NUMERIC:
+        # nullspace_basis's pivot keys compare raw coefficients, which
+        # must not mix Fraction and mpf; and Spectrum.char takes the
+        # spectrum's mode
         p_mat = p_mat.to_numeric()
         p = p.to_numeric()
-    g_work = g.to_numeric() if out_mode == NUMERIC else g
     groups: List[List[LCNumber]] = []
     for a in alphas:
         for grp in groups:
@@ -472,19 +475,19 @@ def _decompose(g: OFGraph, t_req: Fraction):
                 break
         else:
             groups.append([a])
-    # an exact-zero root carries no mode of its own; pin lam and alpha
-    # to the output mode so pairs stay mutually comparable
+    # an exact-zero root carries no mode of its own; unit gives its lam
+    # the output mode, so it prints like every other pair's
     unit = _one_like(out_mode)
     pairs: List[EigenPair] = []
     for grp in groups:
-        alpha = grp[0].to_numeric() if out_mode == NUMERIC else grp[0]
+        alpha = grp[0]
         mult = len(grp)
         rows = []
         for i, row in enumerate(p_mat.rows):
             rows.append([e - alpha if i == j else e for j, e in enumerate(row)])
         basis = nullspace_basis(rows, mult, floor=t_req)
         if mult > 1:
-            basis = _gram_schmidt(g_work, basis)
+            basis = _gram_schmidt(g, basis)
         for vec in basis:
             vec = _normalize_first(vec)
             lam = unit - alpha
@@ -546,7 +549,6 @@ def compute_spectrum(g: OFGraph, trunc_order=None, mode: str = "auto") -> Spectr
 def verify_spectral_theorems(g: OFGraph, spec: Spectrum) -> Report:
     """Check the order-theoretic eigenvalue statements on a computed spectrum."""
     rep = Report(title="spectral theorems")
-    g_work = g.to_numeric() if spec.mode == NUMERIC else g
     lams = spec.lambdas
     alphas = spec.alphas
     n = g.n
@@ -558,7 +560,7 @@ def verify_spectral_theorems(g: OFGraph, spec: Spectrum) -> Report:
     const0 = all((v - spec.pairs[0].function.values[0]).is_zero
                  for v in spec.pairs[0].function.values)
     rep.add("ground-state-constant", const0)
-    ortho = inner(g_work, spec.pairs[1].function, spec.pairs[0].function)
+    ortho = inner(g, spec.pairs[1].function, spec.pairs[0].function)
     # P is self-adjoint and P1 = 1, so the residual r = P v1 - alpha_1 v1
     # gives lambda_1 <v1, 1> = <r, 1>: <v1, 1> is certified to vanish only
     # below residual_order + min val b(x) - val lambda_1
@@ -609,9 +611,7 @@ def verify_spectral_theorems(g: OFGraph, spec: Spectrum) -> Report:
     coeff = -spec.char.coeffs[n - 1] - n
     rep.add("eigenvalue-sum-charpoly", (coeff + n).is_zero and coeff.is_exact,
             f"charpoly coefficient of lambda^{n - 1} equals -{n} exactly")
-    total = zero()
-    for l in lams:
-        total = total + l
+    total = sum(lams, zero())
     # compare to the certified order: beyond it the lift guarantees nothing
     excess = (total - n).truncate(spec.residual_order)
     rep.add("eigenvalue-sum-lifted", excess.is_zero,

@@ -19,7 +19,7 @@ from .cheeger import CheegerCut
 from .errors import GraphValidationError, LCGraphError
 from .graphs import OFGraph, VertexFunction
 from .operators import apply, inner, probability_matrix
-from .series import LCNumber, NUMERIC, comparable, eps, format_series, one
+from .series import LCNumber, comparable, eps, format_series, one, zero
 from .spectral import Spectrum
 
 CONVERGES_TO_ZERO = "converges-to-zero"
@@ -67,10 +67,7 @@ def classify_eigen_limit(alpha: LCNumber) -> LimitVerdict:
 
 def equilibrium_full(g: OFGraph, f: VertexFunction) -> VertexFunction:
     """The constant function (1/b(V)) * sum_y f(y) b(y); fixed point of P."""
-    total = None
-    for x in g.vertices:
-        term = f[x] * g.vertex_weight(x)
-        total = term if total is None else total + term
+    total = sum((f[x] * g.vertex_weight(x) for x in g.vertices), zero())
     value = total * g.total_weight().inverse()
     return VertexFunction.constant(g.vertices, value)
 
@@ -86,11 +83,7 @@ def equilibrium_bipartite(g: OFGraph, partition, f: VertexFunction) -> VertexFun
             raise GraphValidationError(f"edge {x}-{y} does not cross the partition")
 
     def side_sum(side):
-        total = None
-        for x in side:
-            term = f[x] * g.vertex_weight(x)
-            total = term if total is None else total + term
-        return total
+        return sum((f[x] * g.vertex_weight(x) for x in side), zero())
 
     scale = g.total_weight().inverse() * 2
     val1 = side_sum(part1) * scale
@@ -140,10 +133,6 @@ class WalkReport:
                        for s in self.steps)
 
 
-def _lift(x: LCNumber, mode: str) -> LCNumber:
-    return x.to_numeric() if mode == NUMERIC and x.mode not in (NUMERIC, None) else x
-
-
 def iterate(g: OFGraph, f: VertexFunction, m_max: int = 16, mode: str = "full",
             spectrum: Optional[Spectrum] = None,
             cut: Optional[CheegerCut] = None) -> WalkReport:
@@ -153,7 +142,9 @@ def iterate(g: OFGraph, f: VertexFunction, m_max: int = 16, mode: str = "full",
     ||P^m f - eq|| <= alpha_1^m ||f|| is checked as
     deviation^2 <= (alpha_1^2)^m <f,f>, and the Cheeger corollary as
     deviation^2 <= (1-h^2)^m <f,f>; in bipartite mode the recorded power
-    2m replaces m.  Squaring keeps rational inputs exact.
+    2m replaces m.  Squaring keeps rational inputs exact: each bound is
+    numeric only when its own data are (a numeric alpha_1 leaves the
+    Cheeger bound exact).
     """
     if mode not in ("full", "bipartite"):
         raise ValueError(f"unknown walk mode {mode!r}")
@@ -177,16 +168,12 @@ def iterate(g: OFGraph, f: VertexFunction, m_max: int = 16, mode: str = "full",
 
     # (alpha_1^2)^power and (1 - h^2)^power advance one stride per step
     alpha_step = cheeger_step = None
-    cmp_mode = g.mode
     if spectrum is not None:
         a1 = spectrum.alphas[1]
         alpha_step = (a1 * a1) ** stride
-        if alpha_step.mode == NUMERIC:
-            cmp_mode = NUMERIC
     if cut is not None:
         cheeger_step = (-(cut.h * cut.h) + 1) ** stride
     alpha_pow = cheeger_pow = None
-    norm_cmp = _lift(norm_sq, cmp_mode)
 
     steps = []
     cur = f
@@ -196,18 +183,17 @@ def iterate(g: OFGraph, f: VertexFunction, m_max: int = 16, mode: str = "full",
         power = m * stride
         dev = cur - eq
         dev_sq = inner(g, dev, dev)
-        dev_cmp = _lift(dev_sq, cmp_mode)
 
         alpha_bound = alpha_ok = None
         if alpha_step is not None:
             alpha_pow = alpha_step if m == 1 else alpha_pow * alpha_step
-            alpha_bound = _lift(alpha_pow, cmp_mode) * norm_cmp
-            alpha_ok = (alpha_bound - dev_cmp).sign() >= 0
+            alpha_bound = alpha_pow * norm_sq
+            alpha_ok = (alpha_bound - dev_sq).sign() >= 0
         cheeger_bound = cheeger_ok = None
         if cheeger_step is not None:
             cheeger_pow = cheeger_step if m == 1 else cheeger_pow * cheeger_step
-            cheeger_bound = _lift(cheeger_pow, cmp_mode) * norm_cmp
-            cheeger_ok = (cheeger_bound - dev_cmp).sign() >= 0
+            cheeger_bound = cheeger_pow * norm_sq
+            cheeger_ok = (cheeger_bound - dev_sq).sign() >= 0
 
         steps.append(WalkStep(index=m, power=power, function=cur,
                               deviation_sq=dev_sq,
@@ -219,21 +205,15 @@ def iterate(g: OFGraph, f: VertexFunction, m_max: int = 16, mode: str = "full",
     elif spectrum is None:
         precondition = "unverified"
     else:
-        g_proj = g.to_numeric() if spectrum.mode == NUMERIC else g
-        f_proj = _lift_function(f, spectrum.mode)
         precondition = "verified"
         for pair in spectrum.pairs:
             if pair.alpha.sign() <= 0:
-                if not inner(g_proj, f_proj, pair.function).is_zero:
+                if not inner(g, f, pair.function).is_zero:
                     precondition = "violated"
                     break
 
     return WalkReport(mode=mode, equilibrium=eq, norm_sq=norm_sq,
                       steps=tuple(steps), precondition=precondition)
-
-
-def _lift_function(f: VertexFunction, mode: str) -> VertexFunction:
-    return f.to_numeric() if mode == NUMERIC else f
 
 
 def nonconvergence_witness(g: OFGraph, spectrum: Spectrum,
@@ -255,8 +235,7 @@ def nonconvergence_witness(g: OFGraph, spectrum: Spectrum,
     x = next(y for y in g.vertices if not v[y].is_zero)
     vx = abs(v[x])
 
-    eps1 = eps(1) if alpha.mode != NUMERIC else eps(1).to_numeric()
-    bound = eps1 * abs(alpha + 1) * vx
+    bound = eps(1) * abs(alpha + 1) * vx
 
     powers = [None, alpha]
     for _ in range(max_total - 1):
@@ -337,8 +316,7 @@ def h_convergence_verdict(g: OFGraph, cut: CheegerCut,
     classified converges-to-zero or confined to a trivial span.
     """
     h = cut.h
-    one_ref = one() if h.mode != NUMERIC else one().to_numeric()
-    h_cmp = comparable(h, one_ref)
+    h_cmp = comparable(h, one())
     bip = g.is_bipartite()
     complete = g.is_complete()
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import pathlib
+import time
 
 import pytest
 
@@ -102,6 +103,19 @@ def test_invalid_config_exits_2(capsys):
         run_cli(["spectrum", "--trunc", "abc", "fig1.ofg"], capsys)
 
 
+@pytest.mark.parametrize("den", [10007, 1000000007])
+def test_too_fine_exponent_lattice_exits_2(den, tmp_path, capsys):
+    # inverting 1 + eps^(1/den) to order 8 needs 8*den coefficients: it is
+    # refused before they are allocated, not after minutes or a MemoryError
+    graph = tmp_path / "fine.ofg"
+    graph.write_text(f"1 2 1 + eps^(1/{den})\n2 3 1\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(["cheeger", str(graph)], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert f"lattice 1/{den} needs {8 * den} coefficients" in err
+
+
 def test_precision_is_restored_after_main(capsys):
     import mpmath
     from lcgraph.series import numeric_precision
@@ -119,6 +133,7 @@ def test_precision_is_restored_after_main(capsys):
     ["spectrum", "--mode", "numeric", "k2.ofg"],
     ["spectrum", "--trunc", "1e1000000000", "k2.ofg"],
     ["spectrum", "--trunc", "1/" + "3" * 5000, "k2.ofg"],
+    ["spectrum", "--precision", "7128", "k2.ofg"],
 ])
 def test_bad_flag_value_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -145,6 +160,17 @@ def test_failed_check_exits_1(monkeypatch, capsys):
     code, out, _ = run_cli(["verify", "k2.ofg"], capsys)
     assert code == 1
     assert "CHECKS FAILED" in out
+
+
+def test_selftest_at_precision_bound(capsys):
+    # at MAX_PRECISION_BITS the self-test's print-and-reparse round trip
+    # still passes; one bit more is refused by the library and the CLI
+    from lcgraph.series import MAX_PRECISION_BITS, set_numeric_precision
+    argv = ["selftest", "--count", "100", "--precision", str(MAX_PRECISION_BITS)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and "all checks passed" in out
+    with pytest.raises(ValueError):
+        set_numeric_precision(MAX_PRECISION_BITS + 1)
 
 
 def test_selftest_smoke(capsys):

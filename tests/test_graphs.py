@@ -124,12 +124,6 @@ def test_unknown_endpoint_with_explicit_vertices():
         OFGraph.from_edges([("1", "5", one())], vertices=["1", "2"])
 
 
-def test_mode_of_graph():
-    g = parse_graph(FIG1)
-    assert g.mode == "rational"
-    assert g.to_numeric().mode == "numeric"
-
-
 # -- vertex functions -------------------------------------------------------
 
 def test_delta_and_constant():

@@ -313,14 +313,26 @@ def test_comparable():
 
 # -- modes ------------------------------------------------------------------
 
-def test_mode_mixing_raises():
-    a = s("1 + eps")
-    b = from_real(1.5)
+def test_mixed_modes_promote():
+    # a rational operand meets a numeric one as floats: every mixed
+    # expression equals the one with a converted by to_numeric() first
+    a = s("1/3 + 2/7*eps - 5*eps^(3/2)")
+    b = parse_series("1.5 - 0.25*eps + 3*eps^2", mode="numeric")
+    an = a.to_numeric()
+    pairs = [(a + b, an + b), (b + a, b + an), (a - b, an - b),
+             (a * b, an * b), (b / a, b / an),
+             (1.5 + a, 1.5 + an), (a * mpmath.mpf(2), an * mpmath.mpf(2))]
+    for mixed, converted in pairs:
+        assert mixed.mode == "numeric"
+        assert mixed.identical(converted)
+    assert (a < b) is (an < b) is True
+    assert (b < a) is (b < an) is False
+    # a zero has no mode and keeps the other operand's
+    assert (zero() + b).mode == "numeric" and (zero() - a).mode == "rational"
+    assert (b + zero()).identical(b) and (a * one() + zero()).identical(a)
+    # one series still holds coefficients of one mode only
     with pytest.raises(ModeMismatchError):
-        a + b
-    with pytest.raises(ModeMismatchError):
-        a * b
-    assert (a.to_numeric() + b).mode == "numeric"
+        LCNumber([(0, Fraction(1)), (1, mpmath.mpf(2))])
 
 
 def test_to_numeric_matches_rational():

@@ -82,6 +82,22 @@ def test_fig1_bipartite_bounds_hold():
         assert step.cheeger_ok is True
 
 
+def test_fig1_cheeger_bound_stays_exact_beside_numeric_spectrum(fig1):
+    # fig1's spectrum is numeric (sqrt(2) in alpha_1) while h and f are
+    # rational: the Cheeger bound stays exact, and each verdict is the one
+    # the same comparison gives in floats
+    spec = compute_spectrum(fig1)
+    assert spec.mode == "numeric"
+    f = VertexFunction.delta(fig1.vertices, "1")
+    rep = iterate(fig1, f, mode="full", spectrum=spec, cut=cheeger_constant(fig1))
+    for step in rep.steps:
+        assert step.cheeger_bound_sq.mode == "rational"
+        assert step.alpha_bound_sq.mode == "numeric"
+        in_floats = (step.cheeger_bound_sq.to_numeric()
+                     - step.deviation_sq.to_numeric()).sign() >= 0
+        assert step.cheeger_ok is in_floats
+
+
 def test_bipartite_deviation_nonincreasing():
     rng = random.Random(11)
     graphs = [parse_graph(FIG1), parse_graph("1 2 1\n")]
