@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write every public output of lcgraph on 425 seeded graphs, one file each.
+"""Write every public output of lcgraph on 455 seeded graphs, one file each.
 
     PYTHONPATH=src python3 scripts/output_digest.py DIR
 
@@ -16,14 +16,18 @@ For each case the script writes DIR/<label>.txt and prints
   the delta function at the first vertex for 4 steps, each field of each
   step (``cheeger_bound_sq`` among them) on a line of its own.
 
+The walk cases (``walk16-*``) hold the cut and both walks, with the cut
+and no spectrum, from the case's own function for 16 steps at trunc 16:
+the 30 graphs of the first round of perfbench's ``walk_rounds(7)``.
+
 An exception ends a section with an ``error:`` line.  The cases are the
 ``FAILURE_GRAPHS`` of perfbench/inputs.py at their own orders, the 60
 graphs of perfbench/audit_pool.json at trunc 4, 40 draws each of
 ``random_graph`` from tests/corpus.py with seeds 0-3, and the acceptance
 corpus (``random.Random(0)``, monomial weights, 200 draws), all at
-trunc 4; every case runs inside ``truncation(trunc)``, as
-``lcgraph verify --trunc`` does.  The perfbench files are read, never
-written.
+trunc 4, and the 30 walk cases; every case runs inside
+``truncation(trunc)``, as ``lcgraph verify --trunc`` does.  The perfbench
+files are read, never written.
 
 To compare two trees, run the script once with PYTHONPATH set to each
 tree's src and diff the two directories.  A run took 2 to 2.5 minutes on
@@ -31,6 +35,7 @@ one core of a 2-core Xeon (Python 3.11.7, mpmath 1.3.0).
 """
 
 import hashlib
+import itertools
 import json
 import pathlib
 import random
@@ -42,6 +47,7 @@ from lcgraph import (
     cheeger_inequality_check,
     compute_spectrum,
     format_series,
+    from_rational,
     h_convergence_verdict,
     iterate,
     parse_graph,
@@ -51,14 +57,16 @@ from lcgraph import (
 )
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-# tests/ and perfbench/ are not packages
+# tests/ and perfbench/ are not packages; no bytecode is cached there
+sys.dont_write_bytecode = True
 sys.path.insert(0, str(ROOT / "tests"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 from corpus import random_graph, random_monomial_weight  # noqa: E402
-from inputs import FAILURE_GRAPHS, POOL_FILE  # noqa: E402
+from inputs import FAILURE_GRAPHS, POOL_FILE, WALK_STEPS, walk_rounds  # noqa: E402
 
 TRUNC = Fraction(4)
 STEPS = 4
+WALK_SEED = 7
 
 
 def cases():
@@ -76,6 +84,14 @@ def cases():
     rng = random.Random(0)
     for i in range(200):
         yield f"corpus-{i:03d}", random_graph(rng, weight=random_monomial_weight), TRUNC
+
+
+def walk_cases():
+    """(label, graph, trunc, f) for the first round of walk_rounds(WALK_SEED)."""
+    for i, case in enumerate(next(walk_rounds(WALK_SEED))):
+        g = parse_graph(case.text)
+        f = VertexFunction(g.vertices, [from_rational(c) for c in case.f])
+        yield f"walk16-{i:02d}-{case.label.replace('/', '_')}", g, case.trunc, f
 
 
 def series(x) -> str:
@@ -96,9 +112,8 @@ def spectrum_lines(g, spec):
     return out
 
 
-def walk_lines(g, walk_mode, spec, cut):
-    f = VertexFunction.delta(g.vertices, g.vertices[0])
-    rep = iterate(g, f, m_max=STEPS, mode=walk_mode, spectrum=spec, cut=cut)
+def walk_lines(g, walk_mode, spec, cut, f, steps):
+    rep = iterate(g, f, m_max=steps, mode=walk_mode, spectrum=spec, cut=cut)
     tag = f"walk {walk_mode}"
     out = [f"{tag} precondition = {rep.precondition}",
            f"{tag} norm_sq = {series(rep.norm_sq)}"]
@@ -126,6 +141,13 @@ def section(out, fn, *args):
         return False
 
 
+def cut_lines(g, state):
+    c = state["cut"] = cheeger_constant(g)
+    return [f"cut.subset = {' '.join(c.subset)}", f"cut.h = {series(c.h)}",
+            f"cut.boundary = {series(c.boundary)}",
+            f"cut.mass = {series(c.mass)}"]
+
+
 def digest(g, trunc):
     out = [f"n = {g.n}", f"trunc = {trunc}"]
     state = {}
@@ -134,15 +156,9 @@ def digest(g, trunc):
         state["spec"] = compute_spectrum(g, trunc_order=trunc)
         return spectrum_lines(g, state["spec"])
 
-    def cut():
-        c = state["cut"] = cheeger_constant(g)
-        return [f"cut.subset = {' '.join(c.subset)}", f"cut.h = {series(c.h)}",
-                f"cut.boundary = {series(c.boundary)}",
-                f"cut.mass = {series(c.mass)}"]
-
     with truncation(trunc):
         has_spec = section(out, spectrum)
-        has_cut = section(out, cut)
+        has_cut = section(out, cut_lines, g, state)
         spec, c = state.get("spec"), state.get("cut")
         if has_spec:
             section(out, lambda: verify_spectral_theorems(g, spec).render().splitlines())
@@ -151,8 +167,19 @@ def digest(g, trunc):
         if has_cut:
             section(out, lambda: h_convergence_verdict(g, c, spec).render(digits=60)
                     .splitlines())
+        delta = VertexFunction.delta(g.vertices, g.vertices[0])
         for walk_mode in ("full", "bipartite"):
-            section(out, walk_lines, g, walk_mode, spec, c)
+            section(out, walk_lines, g, walk_mode, spec, c, delta, STEPS)
+    return "\n".join(out) + "\n"
+
+
+def walk_digest(g, trunc, f):
+    out = [f"n = {g.n}", f"trunc = {trunc}"]
+    state = {}
+    with truncation(trunc):
+        section(out, cut_lines, g, state)
+        for walk_mode in ("bipartite", "full"):
+            section(out, walk_lines, g, walk_mode, None, state.get("cut"), f, WALK_STEPS)
     return "\n".join(out) + "\n"
 
 
@@ -163,8 +190,10 @@ def run(argv=None) -> int:
         return 2
     target = pathlib.Path(argv[0])
     target.mkdir(parents=True, exist_ok=True)
-    for label, g, trunc in cases():
-        text = digest(g, trunc)
+    outputs = itertools.chain(
+        ((label, digest(g, trunc)) for label, g, trunc in cases()),
+        ((label, walk_digest(g, trunc, f)) for label, g, trunc, f in walk_cases()))
+    for label, text in outputs:
         (target / f"{label}.txt").write_text(text)
         print(label, hashlib.sha256(text.encode()).hexdigest(), flush=True)
     return 0

@@ -102,13 +102,6 @@ class OFGraph:
                                sum(map(self.vertex_weight, self.vertices), zero()))
         return self._total
 
-    def transition(self, x: str, y: str) -> LCNumber:
-        """Walk weight p(x,y) = b(x,y)/b(x)."""
-        w = self.weight(x, y)
-        if w.is_zero:
-            return w
-        return w * self.vertex_weight(x).inverse()
-
     def neighbors(self, x: str) -> Tuple[str, ...]:
         return tuple(sorted(self._adj[x], key=self._index.__getitem__))
 

@@ -646,10 +646,16 @@ _TOKEN_RE = re.compile(r"""
 # ten like 1e1000000000 for good
 MAX_LITERAL_DIGITS = 4300
 
-# the most bits at which a printed coefficient in [0.1, 1), such as 3/7,
-# reparses: it has dps + 5 digits after the point, and exact_literal counts
-# each as a digit and as a decimal shift; 7127 bits give 2*(2144+5)+1 <= 4300
-MAX_PRECISION_BITS = 7127
+# the most bits at which every printed coefficient below 10^4300 reparses.
+# A coefficient prints m = dps + 5 significant digits, in fixed notation
+# while its leading digit sits above 10^-(m//3) (mpmath's to_str), so after
+# up to m//3 - 2 zeros; exact_literal counts each digit after the point
+# twice, as a digit and as a decimal shift: 2*(m + m//3 - 2) + 1 <= 4300
+# holds for m <= 1613, dps 1608, which mpmath gives up to 5346 bits.
+# Scientific notation counts fewer: a coefficient above the zero threshold
+# 2^-(bits//2) ~ 10^-805 has an exponent of at least -805, and
+# 2*m - 1 + 805 <= 4300.
+MAX_PRECISION_BITS = 5346
 
 
 def exact_literal(text: str) -> Fraction:

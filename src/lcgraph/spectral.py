@@ -27,7 +27,7 @@ import mpmath
 
 from .errors import GraphValidationError, LiftError, NumericModeRequired
 from .graphs import OFGraph, VertexFunction
-from .operators import OperatorMatrix, apply, inner, probability_matrix
+from .operators import inner, probability_matrix
 from .realroots import real_roots
 from .reports import Report
 from .series import (INF, NUMERIC, RATIONAL, LCNumber, default_truncation,
@@ -134,12 +134,12 @@ def _mat_mul(a, b, n):
     return out
 
 
-def char_poly(m: OperatorMatrix) -> LCPolynomial:
+def char_poly(rows: Sequence[Sequence[LCNumber]]) -> LCPolynomial:
     """det(x*I - M) by the Faddeev-LeVerrier recursion, ascending coeffs."""
-    n = m.n
+    n = len(rows)
     # the leading coefficient takes the matrix's mode, as the others do
-    one = _one_like(_mode_of(m.rows))
-    a = [list(row) for row in m.rows]
+    one = _one_like(_mode_of(rows))
+    a = [list(row) for row in rows]
     work = [row[:] for row in a]
     cs = []  # c_1 .. c_n with p(x) = x^n + c_1 x^(n-1) + ... + c_n
     for k in range(1, n + 1):
@@ -205,11 +205,13 @@ def _newton_refine(q: LCPolynomial, dq: LCPolynomial, mu: LCNumber) -> LCNumber:
         mu = mu + monomial(coeff, step)
     else:
         raise LiftError("branch extension budget exhausted")
-    for _ in range(MAX_NEWTON_STEPS):
-        r = q.evaluate(mu)
+    # r and d hold q(mu) and q'(mu) from the last extension check, and each
+    # step carries q at the new point forward: q is evaluated once per point
+    for k in range(MAX_NEWTON_STEPS):
         if r.is_zero:
             return mu
-        d = dq.evaluate(mu)
+        if k:
+            d = dq.evaluate(mu)
         nxt = mu - r * d.inverse()
         r2 = q.evaluate(nxt)
         if not r2.is_zero and r2.lead_exp <= r.lead_exp:
@@ -222,7 +224,7 @@ def _newton_refine(q: LCPolynomial, dq: LCPolynomial, mu: LCNumber) -> LCNumber:
                 return mu.truncate(cut)
             raise LiftError("Newton iteration stopped contracting; "
                             "increase the truncation order")
-        mu = nxt
+        mu, r = nxt, r2
     raise LiftError("Newton iteration budget exhausted")
 
 
@@ -465,7 +467,7 @@ def _decompose(g: OFGraph, t_req: Fraction):
         # nullspace_basis's pivot keys compare raw coefficients, which
         # must not mix Fraction and mpf; and Spectrum.char takes the
         # spectrum's mode
-        p_mat = p_mat.to_numeric()
+        p_mat = [[e.to_numeric() for e in row] for row in p_mat]
         p = p.to_numeric()
     groups: List[List[LCNumber]] = []
     for a in alphas:
@@ -483,7 +485,7 @@ def _decompose(g: OFGraph, t_req: Fraction):
         alpha = grp[0]
         mult = len(grp)
         rows = []
-        for i, row in enumerate(p_mat.rows):
+        for i, row in enumerate(p_mat):
             rows.append([e - alpha if i == j else e for j, e in enumerate(row)])
         basis = nullspace_basis(rows, mult, floor=t_req)
         if mult > 1:
@@ -494,11 +496,14 @@ def _decompose(g: OFGraph, t_req: Fraction):
             pairs.append(EigenPair(lam, alpha, VertexFunction(g.vertices, vec)))
     pairs.sort(key=functools.cmp_to_key(
         lambda a, b: (a.lam - b.lam).sign()))
+    # the residual multiplies by the rows whose kernels gave the vectors:
+    # P applied through the graph rounds floats differently, and that
+    # noise can move the certified order of a numeric spectrum
     residual = INF
     for pair in pairs:
-        pv = apply(p_mat, pair.function)
-        for x, val in pv.items():
-            diff = val - pair.alpha * pair.function[x]
+        vec = pair.function.values
+        for row, vx in zip(p_mat, vec):
+            diff = sum((e * v for e, v in zip(row, vec)), zero()) - pair.alpha * vx
             if not diff.is_zero:
                 residual = min(residual, diff.lead_exp)
             else:

@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 from .cheeger import CheegerCut
 from .errors import GraphValidationError, LCGraphError
 from .graphs import OFGraph, VertexFunction
-from .operators import apply, inner, probability_matrix
+from .operators import apply, inner
 from .series import LCNumber, comparable, eps, format_series, one, zero
 from .spectral import Spectrum
 
@@ -163,7 +163,6 @@ def iterate(g: OFGraph, f: VertexFunction, m_max: int = 16, mode: str = "full",
         eq = equilibrium_full(g, f)
         stride = 1
 
-    p = probability_matrix(g)
     norm_sq = inner(g, f, f)
 
     # (alpha_1^2)^power and (1 - h^2)^power advance one stride per step
@@ -179,7 +178,7 @@ def iterate(g: OFGraph, f: VertexFunction, m_max: int = 16, mode: str = "full",
     cur = f
     for m in range(1, m_max + 1):
         for _ in range(stride):
-            cur = apply(p, cur)
+            cur = apply(g, cur)
         power = m * stride
         dev = cur - eq
         dev_sq = inner(g, dev, dev)

@@ -39,13 +39,6 @@ def test_vertex_weights_fig1():
     assert g.total_weight().identical(parse_series("4 + 2*eps"))
 
 
-def test_transition_rows_sum_to_one():
-    g = parse_graph(FIG1)
-    for x in g.vertices:
-        acc = sum((g.transition(x, y) for y in g.vertices), start=monomial(0))
-        assert (acc - 1).is_zero
-
-
 def test_neighbors_and_edges():
     g = parse_graph(FIG1)
     assert g.neighbors("2") == ("1", "3")

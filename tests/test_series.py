@@ -23,7 +23,8 @@ from lcgraph import (
     truncation,
     zero,
 )
-from lcgraph.series import default_truncation
+from lcgraph.series import (MAX_PRECISION_BITS, default_truncation, numeric_precision,
+                            set_numeric_precision)
 
 
 def s(text):
@@ -418,6 +419,21 @@ def test_format_numeric_digits():
     a = from_real(1.0) / 3
     text = format_series(a, digits=12)
     assert text.startswith("0.333333333333")
+
+
+def test_numeric_round_trip_at_precision_bound():
+    # fixed notation holds the most digits where mpmath switches to
+    # scientific: a leading digit near 10^-(m//3) for m printed digits
+    saved = numeric_precision()
+    set_numeric_precision(MAX_PRECISION_BITS)
+    try:
+        m = mpmath.mp.dps + 5
+        for x in (Fraction(1, 7), Fraction(3, 7), Fraction(1)):
+            for k in (0, 1, 2, *range(m // 3 - 6, m // 3 + 6)):
+                a = from_real(x / 10 ** k)
+                assert parse_series(format_series(a), "numeric").identical(a), (x, k)
+    finally:
+        set_numeric_precision(saved)
 
 
 # -- truncation context -----------------------------------------------------

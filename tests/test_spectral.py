@@ -13,6 +13,7 @@ from lcgraph import (
     OFGraph,
     apply,
     compute_spectrum,
+    format_series,
     VertexFunction,
     inner,
     load_graph,
@@ -25,7 +26,7 @@ from lcgraph import (
     verify_spectral_theorems,
     zero,
 )
-from lcgraph.spectral import char_poly, lift_roots
+from lcgraph.spectral import LCPolynomial, char_poly, lift_roots
 from corpus import random_graph, random_nonbipartite
 
 FIG1 = "1 2 1\n2 3 1\n3 4 eps\n"
@@ -55,7 +56,7 @@ def test_char_poly_matches_determinant_at_sample_points():
         assert cp.degree == g.n
         for t in (Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3)):
             x = monomial(t)
-            rows = [[(x if i == j else zero()) - p.entry(i, j)
+            rows = [[(x if i == j else zero()) - p[i][j]
                      for j in range(g.n)] for i in range(g.n)]
             det = _det_minors(rows)
             assert (cp.evaluate(x) - det).is_zero
@@ -148,11 +149,8 @@ def test_residual_certified_on_random_graphs():
         spec = compute_spectrum(g, trunc_order=4)
         # divisions while lifting can cost up to half the working order
         assert spec.residual_order >= spec.trunc_order / 2
-        p = probability_matrix(g)
-        if spec.mode == "numeric":
-            p = p.to_numeric()
         for pair in spec.pairs[:2]:
-            pv = apply(p, pair.function)
+            pv = apply(g, pair.function)
             for x, val in pv.items():
                 d = val - pair.alpha * pair.function[x]
                 assert d.is_zero or d.lead_exp >= spec.trunc_order / 2
@@ -166,8 +164,8 @@ def test_eigenvalues_match_numeric_substitution():
     x = mpmath.mpf(10) ** -7
     for g in graphs:
         spec = compute_spectrum(g, trunc_order=8)
-        pm = probability_matrix(g).to_numeric()
-        mat = mpmath.matrix([[pm.entry(i, j).eval_at(x) for j in range(g.n)]
+        pm = [[e.to_numeric() for e in row] for row in probability_matrix(g)]
+        mat = mpmath.matrix([[pm[i][j].eval_at(x) for j in range(g.n)]
                              for i in range(g.n)])
         eig = sorted((mpmath.re(w) for w in mpmath.eig(mat)[0]), reverse=True)
         got = sorted((p.alpha.to_numeric().eval_at(x) for p in spec.pairs),
@@ -226,3 +224,22 @@ def test_lift_roots_multiplicity_sum():
     # alpha = -1/2 appears twice
     halves = [r for r in roots if (r + Fraction(1, 2)).is_zero]
     assert len(halves) == 2
+
+
+def test_lift_evaluates_q_once_per_point(monkeypatch):
+    # Newton steps carry q(mu) and q'(mu) forward instead of evaluating a
+    # polynomial again at a point it has already been evaluated at
+    seen = []
+    evaluate = LCPolynomial.evaluate
+
+    def counting(poly, x):
+        seen.append((poly, format_series(x)))  # poly kept alive: ids stay unique
+        return evaluate(poly, x)
+
+    monkeypatch.setattr(LCPolynomial, "evaluate", counting)
+    g = parse_graph(FIG2)
+    with truncation(16):
+        roots = lift_roots(char_poly(probability_matrix(g)))
+    assert len(roots) == g.n
+    assert len(seen) > 4 * g.n
+    assert len({(id(poly), x) for poly, x in seen}) == len(seen)

@@ -26,7 +26,6 @@ from lcgraph import (
     nonconvergence_witness,
     parse_graph,
     parse_series,
-    probability_matrix,
     eps,
     one,
     truncation,
@@ -113,6 +112,22 @@ def test_bipartite_deviation_nonincreasing():
             assert (b - a).sign() <= 0
 
 
+def test_bipartite_step_keeps_terms_past_a_cancelling_sum():
+    # at vertex 6 the leading terms of b(6,4) (Pf)(4) + b(6,5) (Pf)(5)
+    # cancel; P applied through the graph keeps the term that dense rows
+    # of truncated quotients b(x,y)/b(x) cut at eps^16
+    g = parse_graph("1 2 2\n1 3 2*eps^(3/2)\n2 4 1*eps^(3/2)\n3 4 2\n"
+                    "3 5 3\n4 6 1\n5 6 3\n")
+    f = VertexFunction(g.vertices, [parse_series(c)
+                                    for c in ("2", "-2", "-1", "-1", "0", "2")])
+    with truncation(16):
+        rep = iterate(g, f, m_max=1, mode="bipartite")
+    got = rep.steps[0].function["6"]
+    assert got.trunc == Fraction(35, 2)
+    assert str(got).endswith(
+        "+ 1/118098*eps^15 - 1/354294*eps^(33/2) + O(eps^(35/2))")
+
+
 def test_classify_eigen_limit_cases():
     assert classify_eigen_limit(one()).kind == STATIONARY
     assert classify_eigen_limit(-one()).kind == ALTERNATING
@@ -148,8 +163,7 @@ def test_equilibrium_bipartite_is_square_fixed_point():
     f = VertexFunction.from_mapping(
         g.vertices, {"1": one(), "2": eps(1), "3": monomial(Fraction(3)), "4": zero()})
     eq = equilibrium_bipartite(g, g.bipartition(), f)
-    p = probability_matrix(g)
-    again = apply(p, apply(p, eq))
+    again = apply(g, apply(g, eq))
     assert all(v.is_zero for v in (again - eq).values)
 
 
