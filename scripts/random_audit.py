@@ -7,8 +7,10 @@ Each draw is ``random_graph`` of tests/corpus.py: a connected graph on
 the script computes the spectrum and the Cheeger cut, then runs the
 spectral theorem report, the Cheeger estimate report and the convergence
 verdict cross-check.  Any failure prints the offending graph and the
-full report so the draw can be replayed; the exit code is 0 only when
-every check on every graph passes.
+full report so the draw can be replayed; a draw the library refuses
+(an ``LCGraphError``) prints as a failed graph with the error's message.
+The exit code is 0 only when every check on every graph passes, and 2
+for a bad flag value.
 """
 
 import argparse
@@ -19,6 +21,7 @@ import time
 from fractions import Fraction
 
 from lcgraph import (
+    MAX_VERTICES,
     OFGraph,
     cheeger_constant,
     cheeger_inequality_check,
@@ -28,6 +31,8 @@ from lcgraph import (
     truncation,
     verify_spectral_theorems,
 )
+from lcgraph.cli import count, rational
+from lcgraph.errors import LCGraphError
 
 # the draw is the test corpus's; tests/ is not a package
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
@@ -49,24 +54,40 @@ def audit_one(g: OFGraph, trunc: Fraction) -> list:
     return failures
 
 
+def size(text: str) -> int:
+    """A vertex count the spectrum supports, for --min-n and --max-n."""
+    value = int(text)
+    if not 2 <= value <= MAX_VERTICES:
+        raise argparse.ArgumentTypeError(
+            f"must be in [2, {MAX_VERTICES}], got {value}")
+    return value
+
+
 def run(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--count", type=int, default=50,
+    ap.add_argument("--count", type=count, default=50,
                     help="number of graphs to draw (default 50)")
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for the graph stream (default 0)")
-    ap.add_argument("--trunc", type=Fraction, default=Fraction(4),
+    ap.add_argument("--trunc", type=rational, default=Fraction(4),
                     help="truncation order for the spectra (default 4)")
-    ap.add_argument("--min-n", type=int, default=3)
-    ap.add_argument("--max-n", type=int, default=6)
+    ap.add_argument("--min-n", type=size, default=3)
+    ap.add_argument("--max-n", type=size, default=6)
     args = ap.parse_args(argv)
+    if args.trunc <= 0:
+        ap.error(f"--trunc must be positive, got {args.trunc}")
+    if args.min_n > args.max_n:
+        ap.error(f"--min-n {args.min_n} is above --max-n {args.max_n}")
 
     rng = random.Random(args.seed)
     bad = 0
     started = time.monotonic()
     for i in range(args.count):
         g = random_graph(rng, args.min_n, args.max_n)
-        failures = audit_one(g, args.trunc)
+        try:
+            failures = audit_one(g, args.trunc)
+        except LCGraphError as exc:
+            failures = [f"error: {exc}"]
         if failures:
             bad += 1
             print(f"graph {i} FAILED:")

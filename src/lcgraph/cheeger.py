@@ -16,10 +16,7 @@ ratio of lower valuation is larger, so only the cuts of the top valuation
 can give the minimum.  The second pass compares those with the best so
 far by cross-multiplication, b * m_best against b_best * m, which orders
 the ratios b/m because masses are positive, and divides once, for the
-winning cut.  Numeric graphs skip the first pass: rounding can absorb a
-term of b(V\\S) = total - b(S) or drop a product of two small leading
-coefficients, so the valuations read off the weights need not be those
-of the computed series, and every cut is compared.
+winning cut.
 
 Subsets are visited in ascending mask order, not by Gray code: a
 comparison of truncated series calls a difference at or past the
@@ -90,20 +87,11 @@ def _cross_sign(b, m, tau, best_b, best_m, best_tau) -> int:
 
 def _mass(masses, weights, mask) -> LCNumber:
     # b(S) from a prefix table filled on demand, masses[mask] =
-    # masses[mask ^ top] + w[top], with masses = {0: zero()}: the members
-    # are added in ascending order, as a per-subset sum adds them, so
-    # numeric rounding matches one
+    # masses[mask ^ top] + w[top], with masses = {0: zero()}
     if mask not in masses:
         top = mask.bit_length() - 1
         masses[mask] = _mass(masses, weights, mask ^ (1 << top)) + weights[top]
     return masses[mask]
-
-
-def _zero_mass(g: OFGraph, mask: int, mass: LCNumber) -> GraphValidationError:
-    names = ", ".join(g.vertices[i] for i in range(g.n) if mask >> i & 1)
-    return GraphValidationError(
-        f"cut {{{names}}} has mass {format_series(mass)}: the weights "
-        "are not known far enough to compare cuts")
 
 
 def _top_valuation_cuts(g: OFGraph, weights, total, edges):
@@ -116,12 +104,17 @@ def _top_valuation_cuts(g: OFGraph, weights, total, edges):
     valuation val b(dS) - max(val b(S), val b(V\\S)).  Exponents are put
     on one integer lattice first, so the pass compares ints only.
 
-    For rational weights, which round nothing: b(V\\S) is formed as
-    total - b(S) and is known only below total.trunc, so a cut is
-    degenerate exactly when val b(V\\S) >= total.trunc.  The
-    vertex with the least truncation order then lies in S, so b(S) is the
-    heavier side and the lighter one has no known term.  The first such
-    mask raises, as the full enumeration would, before anything is pruned.
+    This pass is also the one check for degenerate cuts, those where a
+    side has no known term.  b(S) never is: it is a sum of positive
+    series, known below the least truncation order among them; the summand
+    with that order has its lead below it, so val b(S), the least lead,
+    lies below it too, with a positive coefficient.  b(V\\S) is formed as
+    total - b(S) and is known only below total.trunc; below that it is the
+    sum over V\\S, so it has a known positive term at val b(V\\S) whenever
+    that lies below total.trunc, and no known term otherwise.  So a cut is
+    degenerate exactly when val b(V\\S) >= total.trunc.  The first such
+    mask raises, before anything is pruned, and a search that gets past
+    this pass never meets a zero mass.
     """
     n = g.n
     _, cut, (vw, ew) = _lattice(total.trunc,
@@ -140,7 +133,11 @@ def _top_valuation_cuts(g: OFGraph, weights, total, edges):
         # the complement always holds the last vertex
         vout = min(vin[full ^ mask], vw[n - 1])
         if cut is not None and vout >= cut:
-            raise _zero_mass(g, mask, total - _mass({0: zero()}, weights, mask))
+            names = ", ".join(g.vertices[i] for i in range(n) if mask >> i & 1)
+            mass = total - _mass({0: zero()}, weights, mask)
+            raise GraphValidationError(
+                f"cut {{{names}}} has mass {format_series(mass)}: the weights "
+                "are not known far enough to compare cuts")
         for vb, ends in by_valuation:
             # connected graphs always have a crossing edge for a proper subset
             if mask & ends and mask & ends != ends:
@@ -163,8 +160,7 @@ def cheeger_constant(g: OFGraph) -> CheegerCut:
     top ratio leads there, under both ratios' orders: the comparison is
     decisive, never a tie, and the top cut wins it.  Among the top cuts
     the best-cut updates, with their non-transitive ties, are those of the
-    full enumeration.  Numeric graphs compare every cut (see the module
-    docstring).
+    full enumeration.
     """
     if not g.is_connected():
         raise GraphValidationError("Cheeger constant needs a connected graph")
@@ -179,13 +175,9 @@ def cheeger_constant(g: OFGraph) -> CheegerCut:
     total = g.total_weight()
     edges = [(1 << g.index(x), 1 << g.index(y), w) for x, y, w in g.edges()]
 
-    if total.mode == NUMERIC:
-        masks = range(1, 1 << (n - 1))
-    else:
-        masks = _top_valuation_cuts(g, weights, total, edges)
     masses = {0: zero()}
     best = None
-    for mask in masks:
+    for mask in _top_valuation_cuts(g, weights, total, edges):
         mass_in = _mass(masses, weights, mask)
         mass_out = total - mass_in
         boundary = None
@@ -195,8 +187,6 @@ def cheeger_constant(g: OFGraph) -> CheegerCut:
 
         side = (mass_in - mass_out).sign()
         mass = mass_out if side > 0 else mass_in
-        if mass.is_zero:
-            raise _zero_mass(g, mask, mass)
         tau = _ratio_order(boundary, mass)
         diff = -1 if best is None else _cross_sign(boundary, mass, tau, *best[:3])
         if diff > 0:
@@ -212,17 +202,6 @@ def cheeger_constant(g: OFGraph) -> CheegerCut:
                       h=boundary * mass.inverse(), boundary=boundary, mass=mass)
 
 
-def _match_mode(a: LCNumber, b: LCNumber) -> Tuple[LCNumber, LCNumber]:
-    # the comparisons would convert on their own; this decides what the
-    # report prints, both sides of a line in one mode (fig1's golden shows
-    # "1-h^2 = 4.0*eps ..." and "h^2 = 1.0 - ..." next to a numeric alpha_1)
-    if a.mode == NUMERIC and b.mode not in (NUMERIC, None):
-        return a, b.to_numeric()
-    if b.mode == NUMERIC and a.mode not in (NUMERIC, None):
-        return a.to_numeric(), b
-    return a, b
-
-
 def cheeger_inequality_check(g: OFGraph, spec: Spectrum, cut: CheegerCut) -> Report:
     """Both Cheeger-type estimates for lambda_1, plus the h <= 1 sanity bound.
 
@@ -235,12 +214,19 @@ def cheeger_inequality_check(g: OFGraph, spec: Spectrum, cut: CheegerCut) -> Rep
     rep = Report(f"cheeger estimates on {g.n} vertices")
     h = cut.h
     lam1 = spec.lambdas[1]
-    alpha1 = spec.alphas[1]
+    a1 = spec.alphas[1]
 
     rep.add("h-at-most-one", (h - 1).sign() <= 0,
             f"h = {format_series(h, digits=12)}")
 
-    one_minus_h2, a1 = _match_mode(-(h * h) + 1, alpha1)
+    h2 = h * h
+    one_minus_h2 = -h2 + 1
+    if spec.mode == NUMERIC:
+        # h is rational; the comparisons would convert on their own, and
+        # this decides what the report prints, both sides of a line in one
+        # mode (fig1's golden shows "1-h^2 = 4.0*eps ..." and
+        # "h^2 = 1.0 - ..." next to a numeric alpha_1)
+        one_minus_h2, h2 = one_minus_h2.to_numeric(), h2.to_numeric()
     if a1.sign() <= 0:
         strong = True
         detail = "alpha_1 <= 0, bound vacuous"
@@ -250,7 +236,7 @@ def cheeger_inequality_check(g: OFGraph, spec: Spectrum, cut: CheegerCut) -> Rep
                   f"1-h^2 = {format_series(one_minus_h2, digits=12)}")
     rep.add("strong-form", strong, detail)
 
-    lhs, h2 = _match_mode(lam1 * 2, h * h)
+    lhs = lam1 * 2
     rep.add("weak-form", (lhs - h2).sign() >= 0,
             f"2*lambda_1 = {format_series(lhs, digits=12)} vs "
             f"h^2 = {format_series(h2, digits=12)}")
@@ -261,5 +247,5 @@ def cheeger_inequality_check(g: OFGraph, spec: Spectrum, cut: CheegerCut) -> Rep
         ok = a1.sign() >= 0 and (a1.sign() <= 0 or (one_minus_h2 - a1 * a1).sign() >= 0)
         rep.add("alpha1-bound-noncomplete", ok,
                 f"0 <= alpha_1 and alpha_1^2 <= 1-h^2 with "
-                f"alpha_1 = {format_series(alpha1, digits=12)}")
+                f"alpha_1 = {format_series(a1, digits=12)}")
     return rep

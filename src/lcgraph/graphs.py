@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import GraphValidationError, SeriesParseError
-from .series import LCNumber, RATIONAL, format_series, monomial, parse_series, zero
+from .series import LCNumber, NUMERIC, format_series, monomial, parse_series, zero
 
 
 class OFGraph:
@@ -38,8 +38,11 @@ class OFGraph:
                    vertices: Optional[Sequence[str]] = None) -> "OFGraph":
         """Build a graph from (u, v, weight) triples.
 
-        Weights must be strictly positive series; an exactly-zero weight is
-        treated as an absent edge.  Duplicate edges and loops are rejected.
+        Weights must be strictly positive series with rational coefficients;
+        an exactly-zero weight is treated as an absent edge.  A weight with
+        numeric coefficients is refused, not converted: the exact dyadic
+        value of a float would carry a huge denominator into every series.
+        Duplicate edges and loops are rejected.
         """
         order: List[str] = list(vertices) if vertices is not None else []
         seen = set(order)
@@ -52,6 +55,10 @@ class OFGraph:
                 raise GraphValidationError(f"loop at vertex {u!r} is not allowed")
             if not isinstance(w, LCNumber):
                 raise GraphValidationError(f"edge {u!r} {v!r}: weight must be a series")
+            if w.mode == NUMERIC:
+                raise GraphValidationError(
+                    f"edge {u!r} {v!r}: weight {format_series(w)} has numeric "
+                    "coefficients; graph weights are rational")
             if w.is_zero:
                 continue
             if w.sign() < 0:
@@ -247,7 +254,7 @@ def _data_lines(text: str):
         yield lineno, line
 
 
-def parse_graph(text: str, mode: str = RATIONAL) -> OFGraph:
+def parse_graph(text: str) -> OFGraph:
     """Parse the edge-list format: ``<u> <v> <weight series>`` per line."""
     edges = []
     for lineno, line in _data_lines(text):
@@ -257,7 +264,7 @@ def parse_graph(text: str, mode: str = RATIONAL) -> OFGraph:
                 f"line {lineno}: expected '<u> <v> <weight>', got {line!r}")
         u, v, expr = parts
         try:
-            w = parse_series(expr, mode=mode)
+            w = parse_series(expr)
         except SeriesParseError as exc:
             raise SeriesParseError(f"bad weight on line {lineno}: {exc}") from exc
         if w.sign() <= 0:
@@ -289,7 +296,7 @@ def dump_graph(g: OFGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_function(text: str, graph: OFGraph, mode: str = RATIONAL) -> VertexFunction:
+def parse_function(text: str, graph: OFGraph) -> VertexFunction:
     """Parse ``<vertex> <series>`` lines into a function on graph's vertices."""
     mapping = {}
     for lineno, line in _data_lines(text):
@@ -301,7 +308,7 @@ def parse_function(text: str, graph: OFGraph, mode: str = RATIONAL) -> VertexFun
         if v in mapping:
             raise GraphValidationError(f"line {lineno}: duplicate vertex {v!r}")
         try:
-            mapping[v] = parse_series(expr, mode=mode)
+            mapping[v] = parse_series(expr)
         except SeriesParseError as exc:
             raise SeriesParseError(f"bad value on line {lineno}: {exc}") from exc
     return VertexFunction.from_mapping(graph.vertices, mapping)

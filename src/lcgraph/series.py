@@ -598,7 +598,12 @@ def _format_exponent(q: Fraction) -> str:
 
 def _format_coeff(c, digits) -> str:
     if isinstance(c, Fraction):
-        return str(c)
+        try:
+            return str(c)
+        except ValueError:  # Python's int-string limit
+            raise LCGraphError(
+                f"a rational coefficient needs more than {MAX_LITERAL_DIGITS} "
+                "digits to print") from None
     return mpmath.nstr(c, digits if digits is not None else mpmath.mp.dps + 5,
                        strip_zeros=True)
 

@@ -295,17 +295,16 @@ def _val_positive_roots(q: LCPolynomial, depth: int = 0) -> List[LCNumber]:
 def lift_roots(p: LCPolynomial) -> List[LCNumber]:
     """All roots of p as series, with multiplicity, via the eps = 0 reduction.
 
-    A polynomial with rational coefficients is lifted exactly while every
-    branch coefficient stays rational; the first irrational one redoes the
-    whole lift with float coefficients.  Numeric polynomials lift in float
-    arithmetic throughout.
+    The lift is exact while every reduced root and branch coefficient
+    stays rational; the first irrational one redoes the whole lift with
+    float coefficients.
     """
     reduced = p.reduced_coeffs()
     base = real_roots(reduced)
     if sum(r.multiplicity for r in base) != p.degree:
         raise LiftError("the eps = 0 reduction has non-real roots; "
                         "the spectrum does not lift inside the real series field")
-    if p.mode != NUMERIC and all(r.is_exact for r in base):
+    if all(r.is_exact for r in base):
         try:
             return _lift_all(p, [(Fraction(r.value), r.multiplicity) for r in base])
         except NumericModeRequired:

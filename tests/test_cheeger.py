@@ -5,7 +5,6 @@ import random
 import re
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 from lcgraph import (
@@ -25,7 +24,6 @@ from lcgraph import (
 )
 from lcgraph import cheeger
 from lcgraph.cheeger import _cross_sign, _ratio_order
-from lcgraph.series import numeric_precision
 from corpus import random_graph, random_nonbipartite, random_weight, truncated_weight
 
 FIG1 = "1 2 1\n2 3 1\n3 4 eps\n"
@@ -205,9 +203,7 @@ def _reference_cases():
     graphs += [random_graph(rng, 3, 7, weight=truncated_weight) for _ in range(36)]
     graphs += [OFGraph.from_edges([(u, v, monomial(Fraction(w))) for u, v, w in edges])
                for edges in _tie_heavy_graphs()]
-    graphs += _pruning_graphs()
-    # the same graphs with numeric coefficients, through their text form
-    return graphs + [parse_graph(dump_graph(g), mode="numeric") for g in graphs]
+    return graphs + _pruning_graphs()
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 16])
@@ -297,15 +293,13 @@ def test_first_zero_mass_cut_is_named():
     # the error names the first zero-mass mask in ascending order, even
     # though that cut is pruned by valuation
     g = _pruning_graphs()[2]
-    for graph in (g, parse_graph(dump_graph(g), mode="numeric")):
-        mask = _valuation_profile(graph)[1][0]
-        inside = [x for i, x in enumerate(graph.vertices) if mask >> i & 1]
-        mass = graph.total_weight() - sum((graph.vertex_weight(x) for x in inside),
-                                          start=zero())
-        want = (f"cut {{{', '.join(inside)}}} has mass {format_series(mass)}: "
-                "the weights are not known far enough to compare cuts")
-        with pytest.raises(GraphValidationError, match=re.escape(want)):
-            cheeger_constant(graph)
+    mask = _valuation_profile(g)[1][0]
+    inside = [x for i, x in enumerate(g.vertices) if mask >> i & 1]
+    mass = g.total_weight() - sum((g.vertex_weight(x) for x in inside), start=zero())
+    want = (f"cut {{{', '.join(inside)}}} has mass {format_series(mass)}: "
+            "the weights are not known far enough to compare cuts")
+    with pytest.raises(GraphValidationError, match=re.escape(want)):
+        cheeger_constant(g)
 
 
 def test_search_compares_only_top_valuation_cuts(monkeypatch):
@@ -340,27 +334,3 @@ def test_cut_is_invariant_under_scaling_every_weight():
         cut, want = cheeger_constant(scaled), cheeger_constant(g)
         assert cut.subset == want.subset, dump_graph(g)
         assert cut.h.identical(want.h), dump_graph(g)
-
-
-def _numeric_graph(edges):
-    return OFGraph.from_edges([(u, v, LCNumber({Fraction(q): mpmath.mpf(c)
-                                                for q, c in terms.items()}))
-                               for u, v, terms in edges])
-
-
-def test_numeric_rounding_does_not_prune_cuts():
-    # at 256 bits a 1e-38 beside 1e40 rounds away, so the valuations read
-    # off the weights are not those of the computed masses: numeric graphs
-    # compare every cut, and the first zero mass raises as it is met
-    assert numeric_precision() == 256
-    absorbed = _numeric_graph([("a", "b", {0: "1e40"}), ("b", "c", {0: "1e-38"})])
-    with pytest.raises(GraphValidationError,
-                       match=re.escape("cut {a, b} has mass 0: the weights")):
-        cheeger_constant(absorbed)
-    # here a ranking by valuation would keep the cut {a, b} and not {a}
-    g = _numeric_graph([("a", "b", {1: "3e-38"}), ("b", "c", {2: "1e-38"}),
-                        ("c", "d", {0: "3e-38"}), ("c", "e", {0: 3, 1: "3e40"}),
-                        ("d", "e", {0: 1})])
-    cut = cheeger_constant(g)
-    assert cut.subset == ("a",)
-    assert cut.h.identical(LCNumber({0: mpmath.mpf(1)}))

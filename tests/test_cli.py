@@ -143,6 +143,18 @@ def test_bad_flag_value_exits_2(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["1e3000", "1e-3000"])
+def test_rational_past_the_digit_limit_exits_2(value, tmp_path, capsys):
+    # norm^2 = 10^6000 or 10^-6000 has more digits than str() may print
+    graph, function = tmp_path / "path.ofg", tmp_path / "big.fn"
+    graph.write_text("1 2 1\n2 3 1\n")
+    function.write_text(f"1 {value}\n2 0\n3 0\n")
+    code, out, err = run_cli(["walk", str(graph), "--f", str(function),
+                              "--steps", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: a rational coefficient needs more than 4300 digits to print\n"
+
+
 def test_function_on_wrong_vertex_set_exits_2(capsys):
     code, _, err = run_cli(
         ["walk", "triangle.ofg", "--f", "delta1.fn"], capsys)
@@ -178,3 +190,43 @@ def test_selftest_smoke(capsys):
     code, out, _ = run_cli(["selftest", "--count", "200"], capsys)
     assert code == 0
     assert "PASS" in out
+
+
+_audit_spec = importlib.util.spec_from_file_location(
+    "random_audit", ROOT / "scripts" / "random_audit.py")
+random_audit = importlib.util.module_from_spec(_audit_spec)
+_audit_spec.loader.exec_module(random_audit)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--min-n", "1"],
+    ["--min-n", "13", "--max-n", "13"],
+    ["--min-n", "5", "--max-n", "4"],
+    ["--count", "0"],
+    ["--trunc", "0"],
+])
+def test_random_audit_bad_flag_value_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        random_audit.run(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_random_audit_reports_a_refused_draw(monkeypatch, capsys):
+    # a draw the library refuses fails that graph, and the run goes on
+    from lcgraph import GraphValidationError
+    audit_one, calls = random_audit.audit_one, []
+
+    def first_refused(g, trunc):
+        calls.append(g)
+        if len(calls) == 1:
+            raise GraphValidationError("refused draw")
+        return audit_one(g, trunc)
+
+    monkeypatch.setattr(random_audit, "audit_one", first_refused)
+    code = random_audit.run(["--count", "2", "--max-n", "3"])
+    out = capsys.readouterr().out
+    assert code == 1 and len(calls) == 2
+    assert out.startswith("graph 0 FAILED:\n")
+    assert "  error: refused draw\n" in out
+    assert "audited 2 graphs" in out and "1 graph(s) FAILED" in out

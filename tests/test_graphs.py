@@ -1,15 +1,19 @@
 """Graph parsing, weights, bipartition, and vertex functions."""
 
+import re
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from lcgraph import (
     GraphValidationError,
+    LCNumber,
     OFGraph,
     VertexFunction,
     dump_graph,
     eps,
+    from_real,
     monomial,
     one,
     parse_function,
@@ -115,6 +119,28 @@ def test_zero_weight_is_absent_edge():
 def test_unknown_endpoint_with_explicit_vertices():
     with pytest.raises(GraphValidationError):
         OFGraph.from_edges([("1", "5", one())], vertices=["1", "2"])
+
+
+def _numeric_edges(edges):
+    return [(u, v, LCNumber({Fraction(q): mpmath.mpf(c) for q, c in terms.items()}))
+            for u, v, terms in edges]
+
+
+@pytest.mark.parametrize("edges, named", [
+    # at 256 bits the 1e-38 beside 1e40 would round away in b(V)
+    (_numeric_edges([("a", "b", {0: "1e40"}), ("b", "c", {0: "1e-38"})]), ("a", "b")),
+    (_numeric_edges([("a", "b", {1: "3e-38"}), ("b", "c", {2: "1e-38"}),
+                     ("c", "d", {0: "3e-38"}), ("c", "e", {0: 3, 1: "3e40"}),
+                     ("d", "e", {0: 1})]), ("a", "b")),
+    ([("1", "2", one()), ("2", "3", from_real(1.5))], ("2", "3")),
+])
+def test_numeric_weight_rejected(edges, named):
+    # graph weights are rational: a float is refused, not converted
+    u, v = named
+    with pytest.raises(GraphValidationError,
+                       match=re.escape(f"edge {u!r} {v!r}: weight ")
+                       + r".* has numeric coefficients"):
+        OFGraph.from_edges(edges)
 
 
 # -- vertex functions -------------------------------------------------------

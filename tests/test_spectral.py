@@ -123,8 +123,8 @@ def test_fig1_alpha_needs_numeric_and_squares_to_rational():
 
 @pytest.mark.parametrize("name", ["fig2", "k4"])
 def test_numeric_mode_is_the_exact_spectrum_in_floats(name, request):
-    # both spectra have multiple eps = 0 roots, which a lift in floats
-    # from the start cannot resolve; numeric mode converts the exact lift
+    # both spectra have multiple eps = 0 roots and lift exactly; numeric
+    # mode converts the exact lift to floats
     g = request.getfixturevalue(name)
     spec = compute_spectrum(g, trunc_order=8, mode="numeric")
     assert spec.mode == "numeric"
