@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write every public output of lcgraph on 455 seeded graphs, one file each.
+"""Write every public output of lcgraph on 473 cases, one file each.
 
     PYTHONPATH=src python3 scripts/output_digest.py DIR
 
@@ -25,9 +25,10 @@ An exception ends a section with an ``error:`` line.  The cases are the
 graphs of perfbench/audit_pool.json at trunc 4, 40 draws each of
 ``random_graph`` from tests/corpus.py with seeds 0-3, and the acceptance
 corpus (``random.Random(0)``, monomial weights, 200 draws), all at
-trunc 4, and the 30 walk cases; every case runs inside
-``truncation(trunc)``, as ``lcgraph verify --trunc`` does.  The perfbench
-files are read, never written.
+trunc 4, every bundled ``fixtures/*.ofg`` at trunc 4 and at trunc 8
+(``fixture-<name>-t<trunc>``, 18 cases), and the 30 walk cases; every
+case runs inside ``truncation(trunc)``, as ``lcgraph verify --trunc``
+does.  The perfbench files are read, never written.
 
 To compare two trees, run the script once with PYTHONPATH set to each
 tree's src and diff the two directories.  A run took 2 to 2.5 minutes on
@@ -84,6 +85,9 @@ def cases():
     rng = random.Random(0)
     for i in range(200):
         yield f"corpus-{i:03d}", random_graph(rng, weight=random_monomial_weight), TRUNC
+    for path in sorted((ROOT / "fixtures").glob("*.ofg")):
+        for trunc in (Fraction(4), Fraction(8)):
+            yield f"fixture-{path.stem}-t{trunc}", parse_graph(path.read_text()), trunc
 
 
 def walk_cases():

@@ -46,7 +46,6 @@ from .series import (
     eps,
     format_series,
     from_rational,
-    from_real,
     monomial,
     one,
     parse_series,
@@ -120,7 +119,6 @@ __all__ = [
     "equilibrium_full",
     "format_series",
     "from_rational",
-    "from_real",
     "green_lhs_rhs",
     "h_convergence_verdict",
     "inner",

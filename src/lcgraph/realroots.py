@@ -213,6 +213,8 @@ def _squarefree_roots(f: List[Fraction]) -> List[RealRoot]:
         else:
             a, b = _bisect(f, a, b, width_goal)
             mid = (a + b) / 2
+            # mid is within width_goal of the root however it is rounded;
+            # series._frac_to_mpf would move printed digits of numeric spectra
             roots.append(RealRoot(mpmath.mpf(mid.numerator) / mid.denominator, 1, False))
     return roots
 
@@ -240,9 +242,7 @@ def _rational_real_roots(coeffs) -> List[RealRoot]:
 # -- numeric fallback --------------------------------------------------------
 
 def _numeric_real_roots(coeffs) -> List[RealRoot]:
-    p = [c if isinstance(c, mpmath.mpf) else
-         mpmath.mpf(Fraction(c).numerator) / Fraction(c).denominator
-         for c in coeffs]
+    p = list(coeffs)
     tiny = lcf.zero_threshold()
     while p and abs(p[-1]) < tiny:
         p.pop()
@@ -273,6 +273,6 @@ def real_roots(coeffs) -> List[RealRoot]:
     Complex roots are silently absent; callers that require a real-rooted
     polynomial should compare the multiplicity total with the degree.
     """
-    if any(isinstance(c, (mpmath.mpf, float)) for c in coeffs):
+    if any(isinstance(c, mpmath.mpf) for c in coeffs):
         return _numeric_real_roots(coeffs)
     return _rational_real_roots(coeffs)

@@ -15,10 +15,14 @@ Coefficients come in two modes that must not be mixed inside one number:
   precision are canonicalised away, so signs of surviving coefficients are
   meaningful.
 
-One rule decides a result's mode, as for Python's ``Fraction + float``:
-where a rational operand meets a numeric one in ``+``, ``-``, ``*``, ``/``
-or a comparison, the rational side is converted with ``to_numeric()``
-first.  A zero, which has no mode, takes the other operand's.
+Floats enter only through ``to_numeric()``, which rounds each rational
+coefficient once, and through the irrational roots of spectral lifting;
+the parser reads exact rationals, and a Python float or mpf operand, or
+a Python float coefficient, raises TypeError.  One rule decides a result's
+mode, as for Python's ``Fraction + float``: where a rational series meets
+a numeric one in ``+``, ``-``, ``*``, ``/`` or a comparison, the rational
+side is converted with ``to_numeric()`` first.  A zero, which has no
+mode, takes the other operand's.
 
 Addition and multiplication propagate truncation orders the obvious way
 (min of the operand orders, shifted by leading exponents for products).
@@ -118,13 +122,13 @@ def _split_coeff(c) -> Tuple[Coefficient, str]:
         return Fraction(c), RATIONAL
     if isinstance(c, mpmath.mpf):
         return c, NUMERIC
-    if isinstance(c, float):
-        return mpmath.mpf(c), NUMERIC
-    raise TypeError(f"coefficient must be Fraction, int, mpf or float, got {type(c).__name__}")
+    raise TypeError(f"coefficient must be Fraction, int or mpf, got {type(c).__name__}")
 
 
 def _frac_to_mpf(x: Fraction) -> mpmath.mpf:
-    return mpmath.mpf(x.numerator) / x.denominator
+    # one correctly rounded division: mpf(numerator) would round first
+    # whenever the numerator is wider than the precision
+    return mpmath.fdiv(x.numerator, x.denominator)
 
 
 # the most coefficients _binomial expands: fixtures, tests and benchmark
@@ -244,7 +248,7 @@ class LCNumber:
         if isinstance(other, (int, Fraction)):
             return monomial(Fraction(other))
         if isinstance(other, (float, mpmath.mpf)):
-            return monomial(mpmath.mpf(other))
+            raise TypeError("a float enters a series only through to_numeric()")
         return None
 
     def _join(self, other: "LCNumber"):
@@ -485,8 +489,6 @@ class LCNumber:
         return NotImplemented if s is None else s >= 0
 
     def __eq__(self, other):
-        if not isinstance(other, (LCNumber, int, Fraction, float, mpmath.mpf)):
-            return NotImplemented
         s = self._cmp(other)
         return NotImplemented if s is None else s == 0
 
@@ -517,11 +519,11 @@ class LCNumber:
                 and all(q.denominator == 1 and q >= 0 for q, _ in self.terms):
             x = Fraction(x)
             return sum((c * x ** int(q) for q, c in self.terms), Fraction(0))
-        xv = mpmath.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mpmath.mpf(x)
+        xv = _frac_to_mpf(x) if isinstance(x, Fraction) else mpmath.mpf(x)
         total = mpmath.mpf(0)
         for q, c in self.terms:
             cv = _frac_to_mpf(c) if isinstance(c, Fraction) else c
-            total += cv * mpmath.power(xv, _frac_to_mpf(Fraction(q)))
+            total += cv * mpmath.power(xv, _frac_to_mpf(q))
         return total
 
     def __str__(self) -> str:
@@ -553,13 +555,6 @@ def one() -> LCNumber:
 
 def from_rational(value, trunc=INF) -> LCNumber:
     return monomial(Fraction(value), trunc=trunc)
-
-
-def from_real(value, trunc=INF) -> LCNumber:
-    """A numeric-mode constant from a float/mpf (or exact int/Fraction)."""
-    if isinstance(value, (int, Fraction)):
-        value = _frac_to_mpf(Fraction(value))
-    return monomial(mpmath.mpf(value), trunc=trunc)
 
 
 def sign(a: LCNumber) -> int:
@@ -604,8 +599,18 @@ def _format_coeff(c, digits) -> str:
             raise LCGraphError(
                 f"a rational coefficient needs more than {MAX_LITERAL_DIGITS} "
                 "digits to print") from None
-    return mpmath.nstr(c, digits if digits is not None else mpmath.mp.dps + 5,
+    text = mpmath.nstr(c, digits if digits is not None else mpmath.mp.dps + 5,
                        strip_zeros=True)
+    # fixed notation always reparses (see MAX_PRECISION_BITS); a large
+    # exponent part may not
+    if "e" in text:
+        try:
+            exact_literal(text)
+        except ValueError:
+            raise LCGraphError(
+                f"a numeric coefficient needs more than {MAX_LITERAL_DIGITS} "
+                "digits to reparse") from None
+    return text
 
 
 def format_series(a: LCNumber, digits: Optional[int] = None) -> str:
@@ -695,11 +700,8 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, text: str, mode: str):
-        if mode not in (RATIONAL, NUMERIC):
-            raise ValueError(f"mode must be {RATIONAL!r} or {NUMERIC!r}")
+    def __init__(self, text: str):
         self.text = text
-        self.mode = mode
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -768,8 +770,7 @@ class _Parser:
 
     def parse_term(self):
         if self.peek("eps"):
-            c = _frac_to_mpf(Fraction(1)) if self.mode == NUMERIC else Fraction(1)
-            return self.parse_eps("eps"), c
+            return self.parse_eps("eps"), Fraction(1)
         c = self.parse_coeff()
         q = Fraction(0)
         if self.peek("sym", "*"):
@@ -803,17 +804,12 @@ class _Parser:
             raise SeriesParseError("zero denominator", position=den_tok[2])
         return num / den
 
-    def parse_coeff(self):
+    def parse_coeff(self) -> Fraction:
         tok = self.peek("decimal")
         if tok is not None:
             self.take()
-            value = self.literal(tok)  # bounds the literal in either mode
-            # mpf reads the text with one rounding; _frac_to_mpf could round twice
-            return mpmath.mpf(tok[1]) if self.mode == NUMERIC else value
-        value = self.parse_ratio("coefficient", "denominator")
-        if self.mode == NUMERIC:
-            return _frac_to_mpf(value)
-        return value
+            return self.literal(tok)
+        return self.parse_ratio("coefficient", "denominator")
 
     def parse_exponent(self) -> Fraction:
         if self.peek("sym", "("):
@@ -831,17 +827,17 @@ class _Parser:
         return self.literal(self.take("int", what="exponent"))
 
 
-def parse_series(text: str, mode: str = RATIONAL) -> LCNumber:
+def parse_series(text: str) -> LCNumber:
     """Parse a series literal like ``1/2 - 3*eps^2 + eps^(1/2)``.
 
-    Coefficients are integers, fractions or decimals.  In rational mode a
-    decimal is the exact rational it names (``0.5`` is 1/2, ``2.5e-3`` is
-    1/400); numeric mode converts every coefficient to a float.  A literal
-    whose exact value needs more than MAX_LITERAL_DIGITS digits is
-    refused.  An optional trailing ``+ O(eps^T)`` records a truncation
-    order.
+    Coefficients are integers, fractions or decimals, and a decimal is the
+    exact rational it names (``0.5`` is 1/2, ``2.5e-3`` is 1/400).  The
+    result is rational; floats come only from ``to_numeric()``, which
+    rounds each coefficient once.  A literal whose exact value needs more
+    than MAX_LITERAL_DIGITS digits is refused.  An optional trailing
+    ``+ O(eps^T)`` records a truncation order.
     """
-    return _Parser(text, mode).parse()
+    return _Parser(text).parse()
 
 
 set_numeric_precision(256)

@@ -30,8 +30,9 @@ from .graphs import OFGraph, VertexFunction
 from .operators import inner, probability_matrix
 from .realroots import real_roots
 from .reports import Report
-from .series import (INF, NUMERIC, RATIONAL, LCNumber, default_truncation,
-                     format_series, monomial, truncation, zero)
+from .series import (INF, NUMERIC, RATIONAL, LCNumber, _frac_to_mpf,
+                     default_truncation, format_series, monomial, truncation,
+                     zero)
 
 MAX_VERTICES = 12
 # root-lifting budgets: cluster nesting, polygon extensions, Newton steps
@@ -309,14 +310,9 @@ def lift_roots(p: LCPolynomial) -> List[LCNumber]:
             return _lift_all(p, [(Fraction(r.value), r.multiplicity) for r in base])
         except NumericModeRequired:
             pass
-    pn = p.to_numeric()
-    pairs = []
-    for r in base:
-        v = r.value
-        if isinstance(v, Fraction):
-            v = mpmath.mpf(v.numerator) / v.denominator
-        pairs.append((v, r.multiplicity))
-    return _lift_all(pn, pairs)
+    pairs = [(_frac_to_mpf(r.value) if r.is_exact else r.value, r.multiplicity)
+             for r in base]
+    return _lift_all(p.to_numeric(), pairs)
 
 
 def _lift_all(p: LCPolynomial, base: List[Tuple[object, int]]) -> List[LCNumber]:
@@ -597,8 +593,11 @@ def verify_spectral_theorems(g: OFGraph, spec: Spectrum) -> Report:
     # after sorting, since both sides are sorted mirror images
     mirrored = all((lams[i] + lams[n - 1 - i] - 2).is_zero for i in range(n))
     if bip is None:
-        rep.add("nonbipartite-strict", (lams[-1] - 2).sign() < 0,
-                "lambda_(n-1) < 2 strictly")
+        top = (lams[-1] - 2).sign()
+        rep.add("nonbipartite-strict", top < 0,
+                "lambda_(n-1) < 2 strictly" if top else
+                f"lambda_(n-1) = {format_series(lams[-1], digits=12)}; "
+                "lambda_(n-1) < 2 is not decided at this order")
         rep.add("bipartite-symmetry", None, "graph is not bipartite")
         rep.add("nonbipartite-asymmetry", not mirrored,
                 "spectrum must not be symmetric about 1")

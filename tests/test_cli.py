@@ -175,6 +175,18 @@ def test_failed_check_exits_1(monkeypatch, capsys):
     assert "CHECKS FAILED" in out
 
 
+def test_undecided_nonbipartite_strict_says_so(tmp_path, capsys):
+    # a triangle that is nearly a star: lambda_(n-1) = 2 + O(eps^1) at
+    # --trunc 1/2, so lambda_(n-1) < 2 is neither shown nor disproved
+    graph = tmp_path / "near-star.ofg"
+    graph.write_text("1 2 2*eps^2\n1 3 5*eps\n2 3 2*eps\n")
+    code, out, _ = run_cli(["verify", str(graph), "--trunc", "1/2"], capsys)
+    assert code == 1
+    failed = [line for line in out.splitlines() if ": FAIL" in line]
+    assert failed == ["check nonbipartite-strict: FAIL  [lambda_(n-1) = 2 + O(eps^1); "
+                      "lambda_(n-1) < 2 is not decided at this order]"]
+
+
 def test_selftest_at_precision_bound(capsys):
     # at MAX_PRECISION_BITS the self-test's print-and-reparse round trip
     # still passes; one bit more is refused by the library and the CLI

@@ -3,17 +3,15 @@
 import re
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 from lcgraph import (
     GraphValidationError,
-    LCNumber,
     OFGraph,
     VertexFunction,
     dump_graph,
     eps,
-    from_real,
+    from_rational,
     monomial,
     one,
     parse_function,
@@ -122,17 +120,17 @@ def test_unknown_endpoint_with_explicit_vertices():
 
 
 def _numeric_edges(edges):
-    return [(u, v, LCNumber({Fraction(q): mpmath.mpf(c) for q, c in terms.items()}))
-            for u, v, terms in edges]
+    return [(u, v, parse_series(text).to_numeric()) for u, v, text in edges]
 
 
 @pytest.mark.parametrize("edges, named", [
     # at 256 bits the 1e-38 beside 1e40 would round away in b(V)
-    (_numeric_edges([("a", "b", {0: "1e40"}), ("b", "c", {0: "1e-38"})]), ("a", "b")),
-    (_numeric_edges([("a", "b", {1: "3e-38"}), ("b", "c", {2: "1e-38"}),
-                     ("c", "d", {0: "3e-38"}), ("c", "e", {0: 3, 1: "3e40"}),
-                     ("d", "e", {0: 1})]), ("a", "b")),
-    ([("1", "2", one()), ("2", "3", from_real(1.5))], ("2", "3")),
+    (_numeric_edges([("a", "b", "1e40"), ("b", "c", "1e-38")]), ("a", "b")),
+    (_numeric_edges([("a", "b", "3e-38*eps"), ("b", "c", "1e-38*eps^2"),
+                     ("c", "d", "3e-38"), ("c", "e", "3 + 3e40*eps"),
+                     ("d", "e", "1")]), ("a", "b")),
+    ([("1", "2", one()), ("2", "3", from_rational(Fraction(3, 2)).to_numeric())],
+     ("2", "3")),
 ])
 def test_numeric_weight_rejected(edges, named):
     # graph weights are rational: a float is refused, not converted

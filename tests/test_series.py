@@ -8,6 +8,7 @@ import pytest
 
 from lcgraph import (
     INF,
+    LCGraphError,
     LCNumber,
     ModeMismatchError,
     SeriesParseError,
@@ -15,7 +16,6 @@ from lcgraph import (
     eps,
     format_series,
     from_rational,
-    from_real,
     monomial,
     one,
     parse_series,
@@ -44,7 +44,7 @@ def test_zero_is_mode_polymorphic():
     z = zero()
     assert z.is_zero and z.mode is None
     assert (z + eps()).mode == "rational"
-    assert (z + from_real(1.0)).mode == "numeric"
+    assert (z + one().to_numeric()).mode == "numeric"
 
 
 def test_zero_coefficient_dropped():
@@ -318,11 +318,10 @@ def test_mixed_modes_promote():
     # a rational operand meets a numeric one as floats: every mixed
     # expression equals the one with a converted by to_numeric() first
     a = s("1/3 + 2/7*eps - 5*eps^(3/2)")
-    b = parse_series("1.5 - 0.25*eps + 3*eps^2", mode="numeric")
+    b = parse_series("1.5 - 0.25*eps + 3*eps^2").to_numeric()
     an = a.to_numeric()
     pairs = [(a + b, an + b), (b + a, b + an), (a - b, an - b),
-             (a * b, an * b), (b / a, b / an),
-             (1.5 + a, 1.5 + an), (a * mpmath.mpf(2), an * mpmath.mpf(2))]
+             (a * b, an * b), (b / a, b / an)]
     for mixed, converted in pairs:
         assert mixed.mode == "numeric"
         assert mixed.identical(converted)
@@ -345,9 +344,27 @@ def test_to_numeric_matches_rational():
         assert abs(cn - mpmath.mpf(c.numerator) / c.denominator) < mpmath.mpf(2) ** -250
 
 
-def test_from_rational_and_from_real():
+def test_to_numeric_rounds_once():
+    # mpf(p) / q would round p to the precision first and miss by one ulp
+    p, q = 10 ** 113 + 1, 3
+    assert p.bit_length() > numeric_precision()
+    got = from_rational(Fraction(p, q)).to_numeric().lead_coeff
+    assert got == mpmath.fdiv(p, q)
+
+
+def test_floats_enter_only_through_to_numeric():
+    with pytest.raises(TypeError):
+        one() + 0.5
+    with pytest.raises(TypeError):
+        one() * mpmath.mpf(2)
+    with pytest.raises(TypeError):
+        LCNumber([(0, 0.5)])
+
+
+def test_from_rational_and_to_numeric():
     assert from_rational(Fraction(2, 3)).lead_coeff == Fraction(2, 3)
-    assert from_real(0.5).mode == "numeric"
+    half = from_rational(Fraction(1, 2)).to_numeric()
+    assert half.mode == "numeric" and half.lead_coeff == mpmath.mpf(0.5)
 
 
 # -- parsing and formatting -------------------------------------------------
@@ -385,10 +402,9 @@ def test_parse_error_reports_position():
     ("0." + "1" * 4300, "literal needs more than 4300 digits", 1),
 ])
 def test_parse_error_messages(text, message, column):
-    for mode in ("rational", "numeric"):
-        with pytest.raises(SeriesParseError) as exc:
-            parse_series(text, mode)
-        assert str(exc.value) == f"{message} (column {column})"
+    with pytest.raises(SeriesParseError) as exc:
+        parse_series(text)
+    assert str(exc.value) == f"{message} (column {column})"
 
 
 def test_decimal_literals_are_exact():
@@ -416,7 +432,7 @@ def test_format_hand_values():
 
 
 def test_format_numeric_digits():
-    a = from_real(1.0) / 3
+    a = one().to_numeric() / 3
     text = format_series(a, digits=12)
     assert text.startswith("0.333333333333")
 
@@ -430,10 +446,19 @@ def test_numeric_round_trip_at_precision_bound():
         m = mpmath.mp.dps + 5
         for x in (Fraction(1, 7), Fraction(3, 7), Fraction(1)):
             for k in (0, 1, 2, *range(m // 3 - 6, m // 3 + 6)):
-                a = from_real(x / 10 ** k)
-                assert parse_series(format_series(a), "numeric").identical(a), (x, k)
+                a = from_rational(x / 10 ** k).to_numeric()
+                back = parse_series(format_series(a)).to_numeric()
+                assert back.identical(a), (x, k)
     finally:
         set_numeric_precision(saved)
+
+
+def test_format_refuses_numeric_coefficient_past_literal_limit():
+    # 1.0e+8000 would print, but no literal may need more than 4300 digits
+    big = parse_series("1e4000").to_numeric()
+    assert parse_series(format_series(big)).to_numeric().identical(big)
+    with pytest.raises(LCGraphError, match="more than 4300 digits"):
+        format_series(big ** 2)
 
 
 # -- truncation context -----------------------------------------------------
