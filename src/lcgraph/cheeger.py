@@ -32,7 +32,7 @@ from typing import Tuple
 from .errors import GraphValidationError
 from .graphs import OFGraph
 from .reports import Report
-from .series import (INF, LCNumber, NUMERIC, _lattice, default_truncation,
+from .series import (INF, LCNumber, NUMERIC, _cut, _lattice, default_truncation,
                      format_series, zero)
 from .spectral import MAX_VERTICES, Spectrum
 
@@ -117,11 +117,11 @@ def _top_valuation_cuts(g: OFGraph, weights, total, edges):
     this pass never meets a zero mass.
     """
     n = g.n
-    _, cut, (vw, ew) = _lattice(total.trunc,
-                                [(w.lead_exp, None) for w in weights],
-                                [(w.lead_exp, bx | by) for bx, by, w in edges])
-    vw = [v for v, _ in vw]
-    by_valuation = sorted(ew, key=lambda e: e[0])
+    den, keys = _lattice([w.lead_exp for w in weights] + [w.lead_exp for _, _, w in edges])
+    cut = _cut(total.trunc, den)
+    vw = keys[:n]
+    by_valuation = sorted(zip(keys[n:], (bx | by for bx, by, _ in edges)),
+                          key=lambda e: e[0])
     full = (1 << (n - 1)) - 1
     vin = [INF] * (full + 1)
     for mask in range(1, full + 1):
@@ -132,7 +132,7 @@ def _top_valuation_cuts(g: OFGraph, weights, total, edges):
     for mask in range(1, full + 1):
         # the complement always holds the last vertex
         vout = min(vin[full ^ mask], vw[n - 1])
-        if cut is not None and vout >= cut:
+        if vout >= cut:
             names = ", ".join(g.vertices[i] for i in range(n) if mask >> i & 1)
             mass = total - _mass({0: zero()}, weights, mask)
             raise GraphValidationError(

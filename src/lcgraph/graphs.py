@@ -15,19 +15,22 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import GraphValidationError, SeriesParseError
-from .series import LCNumber, NUMERIC, format_series, monomial, parse_series, zero
+from .series import (LCNumber, NUMERIC, default_truncation, format_series, monomial,
+                     parse_series, zero)
 
 
 class OFGraph:
     """Undirected graph over an ordered field: vertices, weights, walk data."""
 
-    __slots__ = ("vertices", "_index", "_adj", "_vertex_weight", "_total")
+    __slots__ = ("vertices", "_index", "_adj", "_vertex_weight", "_inverse_weight",
+                 "_total")
 
     def __init__(self, vertices: Sequence[str], adjacency: Dict[str, Dict[str, LCNumber]]):
         object.__setattr__(self, "vertices", tuple(vertices))
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.vertices)})
         object.__setattr__(self, "_adj", adjacency)
         object.__setattr__(self, "_vertex_weight", {})
+        object.__setattr__(self, "_inverse_weight", {})
         object.__setattr__(self, "_total", None)
 
     def __setattr__(self, name, value):
@@ -100,6 +103,15 @@ class OFGraph:
         cached = self._vertex_weight.get(x)
         if cached is None:
             cached = self._vertex_weight[x] = sum(self._adj[x].values(), zero())
+        return cached
+
+    def inverse_vertex_weight(self, x: str) -> LCNumber:
+        """b(x)^-1, once per vertex and ambient truncation order, the order
+        to which the inverse of an exact b(x) is expanded."""
+        key = (x, default_truncation())
+        cached = self._inverse_weight.get(key)
+        if cached is None:
+            cached = self._inverse_weight[key] = self.vertex_weight(x).inverse()
         return cached
 
     def total_weight(self) -> LCNumber:

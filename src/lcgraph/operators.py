@@ -31,7 +31,7 @@ def probability_matrix(g: OFGraph) -> Rows:
     the diagonal is zero."""
     rows = []
     for x in g.vertices:
-        inv_bx = g.vertex_weight(x).inverse()
+        inv_bx = g.inverse_vertex_weight(x)
         rows.append(tuple(g.weight(x, y) * inv_bx for y in g.vertices))
     return tuple(rows)
 
@@ -50,7 +50,7 @@ def apply(g: OFGraph, f: VertexFunction) -> VertexFunction:
     for x in g.vertices:
         acc = sum((g.weight(x, y) * f.values[g.index(y)] for y in g.neighbors(x)),
                   zero())
-        out.append(acc * g.vertex_weight(x).inverse())
+        out.append(acc * g.inverse_vertex_weight(x))
     return VertexFunction(g.vertices, out)
 
 

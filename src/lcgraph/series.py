@@ -26,6 +26,12 @@ mode, takes the other operand's.
 
 Addition and multiplication propagate truncation orders the obvious way
 (min of the operand orders, shifted by leading exponents for products).
+Both run on int exponent keys: each series puts its exponents once on
+the lattice 1/den, den their least common denominator, and ``+`` merges
+and ``*`` convolves on the ints q*den.  A rational product scales each
+operand's coefficients to int numerators over one common denominator,
+as for an integer polynomial over Q, so it builds one Fraction per
+output term rather than one per pair of terms.
 Inversion and square roots share one coefficient recurrence for the
 binomial series (1 + u)^a; on exact inputs the expansion depth is the
 ambient default truncation order, which the context manager
@@ -34,6 +40,7 @@ ambient default truncation order, which the context manager
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from contextlib import contextmanager
@@ -125,6 +132,13 @@ def _split_coeff(c) -> Tuple[Coefficient, str]:
     raise TypeError(f"coefficient must be Fraction, int or mpf, got {type(c).__name__}")
 
 
+def _numerators(terms):
+    """The rational coefficients of terms as int numerators over their
+    least common denominator: (numerators, denominator)."""
+    den = math.lcm(*(c.denominator for _, c in terms))
+    return [c.numerator * (den // c.denominator) for _, c in terms], den
+
+
 def _frac_to_mpf(x: Fraction) -> mpmath.mpf:
     # one correctly rounded division: mpf(numerator) would round first
     # whenever the numerator is wider than the precision
@@ -136,20 +150,30 @@ def _frac_to_mpf(x: Fraction) -> mpmath.mpf:
 MAX_LATTICE_POINTS = 10_000
 
 
-def _lattice(t, *term_seqs):
-    """Rescale exponents to one integer denominator ``den``.
+def _lattice(exponents):
+    """Put exponents on one integer lattice: (den, keys).
 
-    Returns den, the cut t*den (None for t = inf) and each sequence of
-    (exponent, coefficient) pairs with int keys q*den, so convolutions
-    run on ints instead of Fractions.
+    den is the least common multiple of the exponents' denominators, and
+    keys holds each exponent q as the int q*den, so convolutions and
+    merges compare and add ints instead of Fractions.
     """
-    den = 1 if t == INF else t.denominator
-    for terms in term_seqs:
-        for q, _ in terms:
-            den = den * q.denominator // math.gcd(den, q.denominator)
-    cut = None if t == INF else t.numerator * (den // t.denominator)
-    return den, cut, [[(q.numerator * (den // q.denominator), c) for q, c in terms]
-                      for terms in term_seqs]
+    den = math.lcm(*(q.denominator for q in exponents))
+    return den, tuple(q.numerator * (den // q.denominator) for q in exponents)
+
+
+def _reduced(den, keys):
+    """The least lattice of int keys on ``den``: (den/g, keys/g) for
+    g = gcd(den, *keys), as _lattice would give from the exponents."""
+    if den > 1:
+        g = math.gcd(den, *keys)
+        if g > 1:
+            return den // g, tuple(k // g for k in keys)
+    return den, tuple(keys)
+
+
+def _cut(t, den):
+    """The least int key at or above the order t on lattice den; INF for t = inf."""
+    return INF if t == INF else -(-t.numerator * den // t.denominator)
 
 
 class LCNumber:
@@ -159,9 +183,16 @@ class LCNumber:
     increasing in exponent, with no zero coefficients and every exponent
     below ``trunc``.  ``mode`` is "rational", "numeric", or None for a
     representation with no terms (zero is mode-polymorphic).
+
+    Arithmetic runs on each series' exponent lattice (``_keys``): the
+    least common denominator den of the exponents and every exponent as
+    the int key q*den.  It is computed once per series, on first use, or
+    handed over by ``+`` and ``*``, which produce it anyway.  A rational
+    product convolves int coefficient numerators over the product of
+    the operands' common coefficient denominators.
     """
 
-    __slots__ = ("terms", "trunc", "mode")
+    __slots__ = ("terms", "trunc", "mode", "_lat")
 
     def __init__(self, terms=(), trunc=INF):
         trunc = _as_trunc(trunc)
@@ -194,16 +225,35 @@ class LCNumber:
         object.__setattr__(self, "terms", tuple(kept))
         object.__setattr__(self, "trunc", trunc)
         object.__setattr__(self, "mode", mode if kept else None)
+        object.__setattr__(self, "_lat", None)
 
     @classmethod
-    def _raw(cls, terms, trunc, mode) -> "LCNumber":
+    def _raw(cls, terms, trunc, mode, lat=None) -> "LCNumber":
         # trusted constructor for arithmetic-internal use: terms must
-        # already be sorted, filtered and below trunc
+        # already be sorted, filtered and below trunc, and lat, when
+        # given, must be _lattice of their exponents
         obj = object.__new__(cls)
         object.__setattr__(obj, "terms", terms)
         object.__setattr__(obj, "trunc", trunc)
         object.__setattr__(obj, "mode", mode if terms else None)
+        object.__setattr__(obj, "_lat", lat)
         return obj
+
+    def _keys(self):
+        """(den, keys): this series' exponent lattice, see _lattice."""
+        if self._lat is None:
+            object.__setattr__(self, "_lat", _lattice([q for q, _ in self.terms]))
+        return self._lat
+
+    def _common_keys(self, other):
+        """(den, self's keys, other's keys) on the least common lattice."""
+        (da, ka), (db, kb) = self._keys(), other._keys()
+        den = math.lcm(da, db)
+        if den != da:
+            ka = [k * (den // da) for k in ka]
+        if den != db:
+            kb = [k * (den // db) for k in kb]
+        return den, ka, kb
 
     def __setattr__(self, name, value):
         raise AttributeError("LCNumber is immutable")
@@ -270,40 +320,46 @@ class LCNumber:
             return NotImplemented
         a, b, mode = self._join(other)
         trunc = min(a.trunc, b.trunc)
+        den, ka, kb = a._common_keys(b)
+        cut = _cut(trunc, den)
         a, b = a.terms, b.terms
         na, nb = len(a), len(b)
         numeric = mode == NUMERIC
-        out = []
+        out, keys = [], []
         i = j = 0
         while i < na and j < nb:
-            qa, qb = a[i][0], b[j][0]
-            if qa < qb:
-                q, c = a[i]
+            x, y = ka[i], kb[j]
+            if x < y:
+                k, term = x, a[i]
                 i += 1
-            elif qb < qa:
-                q, c = b[j]
+            elif y < x:
+                k, term = y, b[j]
                 j += 1
             else:
-                q = qa
-                c = a[i][1] + b[j][1]
+                k = x
+                q, c = a[i]
+                c = c + b[j][1]
                 i += 1
                 j += 1
-            if q >= trunc:
-                return LCNumber._raw(tuple(out), trunc, mode)
-            if (abs(c) >= _tau) if numeric else (c != 0):
-                out.append((q, c))
-        rest = a[i:] if i < na else b[j:]
-        for q, c in rest:
-            if q >= trunc:
+                if not ((abs(c) >= _tau) if numeric else c):
+                    continue
+                term = (q, c)
+            if k >= cut:
                 break
-            out.append((q, c))
-        return LCNumber._raw(tuple(out), trunc, mode)
+            out.append(term)
+            keys.append(k)
+        else:
+            rest, rkeys, start = (a, ka, i) if i < na else (b, kb, j)
+            stop = bisect.bisect_left(rkeys, cut, start)
+            out.extend(rest[start:stop])
+            keys.extend(rkeys[start:stop])
+        return LCNumber._raw(tuple(out), trunc, mode, _reduced(den, keys))
 
     __radd__ = __add__
 
     def __neg__(self):
         return LCNumber._raw(tuple((q, -c) for q, c in self.terms),
-                             self.trunc, self.mode)
+                             self.trunc, self.mode, self._lat)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -325,27 +381,36 @@ class LCNumber:
         t = _as_trunc(min(a.trunc + b.lead_exp, b.trunc + a.lead_exp))
         if not a.terms or not b.terms:
             return LCNumber._raw((), t, None)
-        den, cut, (a, b) = _lattice(t, a.terms, b.terms)
-        b0 = b[0][0]
+        den, ka, kb = a._common_keys(b)
+        cut = _cut(t, den)
+        numeric = mode == NUMERIC
+        if numeric:
+            ca = [c for _, c in a.terms]
+            cb = [c for _, c in b.terms]
+        else:
+            ca, dca = _numerators(a.terms)
+            cb, dcb = _numerators(b.terms)
+        b_terms = list(zip(kb, cb))
+        b0 = kb[0]
         prod = {}
-        for qa, ca in a:
-            if cut is not None and qa + b0 >= cut:
+        for qa, x in zip(ka, ca):
+            if qa + b0 >= cut:
                 break
-            for qb, cb in b:
+            for qb, y in b_terms:
                 q = qa + qb
-                if cut is not None and q >= cut:
+                if q >= cut:
                     break
                 if q in prod:
-                    prod[q] = prod[q] + ca * cb
+                    prod[q] = prod[q] + x * y
                 else:
-                    prod[q] = ca * cb
-        numeric = mode == NUMERIC
-        out = []
+                    prod[q] = x * y
+        out, keys = [], []
         for q in sorted(prod):
             c = prod[q]
-            if (abs(c) >= _tau) if numeric else (c != 0):
-                out.append((Fraction(q, den), c))
-        return LCNumber._raw(tuple(out), t, mode)
+            if (abs(c) >= _tau) if numeric else c:
+                out.append((Fraction(q, den), c if numeric else Fraction(c, dca * dcb)))
+                keys.append(q)
+        return LCNumber._raw(tuple(out), t, mode, _reduced(den, keys))
 
     __rmul__ = __mul__
 
@@ -386,7 +451,8 @@ class LCNumber:
         keep = len(self.terms)
         while keep and self.terms[keep - 1][0] >= trunc:
             keep -= 1
-        return LCNumber._raw(self.terms[:keep], trunc, self.mode)
+        return LCNumber._raw(self.terms[:keep], trunc, self.mode,
+                             self._lat if keep == len(self.terms) else None)
 
     def inverse(self) -> "LCNumber":
         """Multiplicative inverse: (1 + u)^-1 by the recurrence of _binomial.
@@ -432,7 +498,10 @@ class LCNumber:
         t_rel = self.trunc - q if self.trunc != INF else _default_trunc
         tail = LCNumber._raw(self.terms[1:], self.trunc, self.mode)
         u = (tail * monomial(1 / c, -q)).truncate(t_rel)
-        den, cut, (u_keys,) = _lattice(t_rel, u.terms)
+        den_u, keys_u = u._keys()
+        den = math.lcm(den_u, t_rel.denominator)
+        cut = _cut(t_rel, den)
+        u_keys = [(k * (den // den_u), u_k) for k, (_, u_k) in zip(keys_u, u.terms)]
         if cut > MAX_LATTICE_POINTS:
             raise LCGraphError(f"expanding to relative order {t_rel} on the "
                                f"exponent lattice 1/{den} needs {cut} "
@@ -441,6 +510,7 @@ class LCNumber:
         numeric = self.mode == NUMERIC
         w = [mpmath.mpf(1) if numeric else Fraction(1)] + [0] * (cut - 1)
         out = [(Fraction(0), w[0])]
+        keys = [0]
         for k in range(1, cut):
             acc = 0
             for j, u_j in u_keys:
@@ -452,7 +522,9 @@ class LCNumber:
             if (abs(w_k) >= _tau) if numeric else (w_k != 0):
                 w[k] = w_k
                 out.append((Fraction(k, den), w_k))
-        return lead * LCNumber._raw(tuple(out), t_rel, self.mode)
+                keys.append(k)
+        return lead * LCNumber._raw(tuple(out), t_rel, self.mode,
+                                    _reduced(den, keys))
 
     # -- order ------------------------------------------------------------
 

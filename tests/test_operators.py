@@ -16,6 +16,7 @@ from lcgraph import (
     parse_series,
     probability_matrix,
     rayleigh,
+    truncation,
     zero,
 )
 from corpus import random_graph, random_weight, truncated_weight
@@ -110,6 +111,22 @@ def test_apply_matches_dense_sum():
             for x, want in zip(g.vertices, _dense_apply(rows, f)):
                 assert got[x].trunc >= want.trunc, (k, x)
                 assert got[x].truncate(want.trunc).identical(want), (k, x)
+
+
+def test_apply_follows_the_ambient_truncation_order():
+    # b(x)^-1 is kept per vertex and truncation order: a graph reused
+    # across orders gives what a freshly parsed graph gives at each order
+    text = "1 2 1 + eps\n2 3 2 + eps^(1/2)\n3 4 eps\n1 4 1/3\n"
+    g = parse_graph(text)
+    f = VertexFunction(g.vertices, [parse_series(v) for v in ("1", "-2", "eps", "1/2")])
+    for order in (4, 16, 4):
+        with truncation(order):
+            got = apply(g, f)
+            want = apply(parse_graph(text), f)
+        for x in g.vertices:
+            assert got[x].identical(want[x]), (order, x)
+    with truncation(16):
+        assert apply(g, f)["1"].trunc > got["1"].trunc
 
 
 def test_apply_refuses_a_function_on_other_vertices():
