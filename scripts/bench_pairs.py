@@ -17,7 +17,8 @@ pair to pair, so a slow phase of the machine falls on both sides alike.
 BENCH_<label>.json (written to the root of this checkout after every
 pair) holds each run's last output line, and per workload and side the
 median and quartiles of every end-to-end metric that BENCHMARK.json
-declares, with the pairs the change won and the median gap.  It also
+declares, with the pairs the change won, the median gap and whether the
+change stays within the metric's regression bound.  It also
 records both revisions, the Python and mpmath versions and a machine
 note.  Run it on an otherwise idle machine.
 """
@@ -82,7 +83,11 @@ def quartiles(values):
 
 def summarise(runs: dict, declared: list) -> dict:
     """Per metric: each side's median and quartiles, the pairs the change
-    won and the change's median gap over the parent (positive is better)."""
+    won, the change's median gap over the parent (positive is better) and
+    ``within_bound``: whether the change's median is worse than the
+    parent's by no more than the metric's relative bound.  It reads
+    "unresolved" when the parent's IQR is wider than the bound, unless
+    every run of the change reads better than every run of the parent."""
     out = {}
     for metric in declared:
         name, better = metric["name"], metric["better"]
@@ -95,10 +100,17 @@ def summarise(runs: dict, declared: list) -> dict:
         sign = 1 if better == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"]))
         gap = sign * (entry["change"]["median"] - entry["parent"]["median"])
+        base, bound = entry["parent"]["median"], metric["bound"]
+        if entry["parent"]["iqr"] > bound * abs(base) and not all(
+                sign * (c - p) > 0 for c in sides["change"] for p in sides["parent"]):
+            within = "unresolved"
+        else:
+            within = -gap <= bound * abs(base)
         entry.update(unit=metric["unit"], better=better,
                      change_won=f"{wins}/{len(sides['parent'])}",
                      median_gap=gap,
                      gap_exceeds_parent_iqr=gap > entry["parent"]["iqr"],
+                     bound=bound, within_bound=within,
                      relative_change=(entry["change"]["median"] / entry["parent"]["median"] - 1
                                       if entry["parent"]["median"] else None))
         out[name] = entry

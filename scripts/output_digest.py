@@ -31,8 +31,9 @@ case runs inside ``truncation(trunc)``, as ``lcgraph verify --trunc``
 does.  The perfbench files are read, never written.
 
 To compare two trees, run the script once with PYTHONPATH set to each
-tree's src and diff the two directories.  A run took 2 to 2.5 minutes on
-one core of a 2-core Xeon (Python 3.11.7, mpmath 1.3.0).
+tree's src and diff the two directories.  A run took 47 s to 1.5 minutes
+on one core of a 2-core AMD EPYC (Python 3.11.7, mpmath 1.3.0), which
+runs in phases of different speed.
 """
 
 import hashlib

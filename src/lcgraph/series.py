@@ -24,14 +24,16 @@ a numeric one in ``+``, ``-``, ``*``, ``/`` or a comparison, the rational
 side is converted with ``to_numeric()`` first.  A zero, which has no
 mode, takes the other operand's.
 
+A series is stored once, on an integer exponent lattice: den, the least
+common denominator of its exponents, and each exponent q as the int key
+q*den, beside its coefficient.  The (exponent, coefficient) pairs of
+``terms`` are a view built on request; arithmetic never reads them.
 Addition and multiplication propagate truncation orders the obvious way
 (min of the operand orders, shifted by leading exponents for products).
-Both run on int exponent keys: each series puts its exponents once on
-the lattice 1/den, den their least common denominator, and ``+`` merges
-and ``*`` convolves on the ints q*den.  A rational product scales each
-operand's coefficients to int numerators over one common denominator,
-as for an integer polynomial over Q, so it builds one Fraction per
-output term rather than one per pair of terms.
+``+`` merges and ``*`` convolves on the int keys, and a rational product
+scales each operand's coefficients to int numerators over one common
+denominator, as for an integer polynomial over Q, so it builds one
+Fraction per output term rather than one per pair of terms.
 Inversion and square roots share one coefficient recurrence for the
 binomial series (1 + u)^a; on exact inputs the expansion depth is the
 ambient default truncation order, which the context manager
@@ -45,7 +47,7 @@ import math
 import re
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 import mpmath
 
@@ -57,7 +59,6 @@ INF = math.inf
 RATIONAL = "rational"
 NUMERIC = "numeric"
 
-Exponent = Fraction
 Coefficient = Union[Fraction, mpmath.mpf]
 
 _precision_bits = 256
@@ -132,11 +133,17 @@ def _split_coeff(c) -> Tuple[Coefficient, str]:
     raise TypeError(f"coefficient must be Fraction, int or mpf, got {type(c).__name__}")
 
 
-def _numerators(terms):
-    """The rational coefficients of terms as int numerators over their
-    least common denominator: (numerators, denominator)."""
-    den = math.lcm(*(c.denominator for _, c in terms))
-    return [c.numerator * (den // c.denominator) for _, c in terms], den
+def _numerators(coeffs):
+    """Rational coefficients as int numerators over their least common
+    denominator: (numerators, denominator)."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _kept(c, numeric) -> bool:
+    """Whether a coefficient survives: a float at least the zero threshold
+    in absolute value, an exact one nonzero."""
+    return abs(c) >= _tau if numeric else bool(c)
 
 
 def _frac_to_mpf(x: Fraction) -> mpmath.mpf:
@@ -161,45 +168,36 @@ def _lattice(exponents):
     return den, tuple(q.numerator * (den // q.denominator) for q in exponents)
 
 
-def _reduced(den, keys):
-    """The least lattice of int keys on ``den``: (den/g, keys/g) for
-    g = gcd(den, *keys), as _lattice would give from the exponents."""
-    if den > 1:
-        g = math.gcd(den, *keys)
-        if g > 1:
-            return den // g, tuple(k // g for k in keys)
-    return den, tuple(keys)
-
-
 def _cut(t, den):
     """The least int key at or above the order t on lattice den; INF for t = inf."""
-    return INF if t == INF else -(-t.numerator * den // t.denominator)
+    return -(-t.numerator * den // t.denominator) if isinstance(t, Fraction) else INF
 
 
 class LCNumber:
     """One truncated Levi-Civita series.  Immutable.
 
-    ``terms`` is a tuple of (exponent, coefficient) pairs, strictly
-    increasing in exponent, with no zero coefficients and every exponent
-    below ``trunc``.  ``mode`` is "rational", "numeric", or None for a
-    representation with no terms (zero is mode-polymorphic).
+    A series is stored once, on its exponent lattice: the least common
+    denominator den of its exponents, the int keys q*den in strictly
+    increasing order, one coefficient per key, none of them zero, and the
+    truncation order ``trunc``, above every exponent.  ``_set`` is the one
+    place that fills these slots, and it keeps den least, so two series
+    with equal terms store equal lattices.
 
-    Arithmetic runs on each series' exponent lattice (``_keys``): the
-    least common denominator den of the exponents and every exponent as
-    the int key q*den.  It is computed once per series, on first use, or
-    handed over by ``+`` and ``*``, which produce it anyway.  A rational
-    product convolves int coefficient numerators over the product of
-    the operands' common coefficient denominators.
+    ``terms``, the tuple of (exponent, coefficient) pairs, and ``mode``,
+    "rational", "numeric" or None for a series with no terms (zero is
+    mode-polymorphic), are views computed from the lattice.  Arithmetic
+    never builds them: ``+`` merges and ``*`` convolves int keys, and a
+    rational product convolves int coefficient numerators over the
+    product of the operands' common coefficient denominators.
     """
 
-    __slots__ = ("terms", "trunc", "mode", "_lat")
+    __slots__ = ("trunc", "_den", "_keys", "_coeffs")
 
     def __init__(self, terms=(), trunc=INF):
         trunc = _as_trunc(trunc)
         merged = {}
         mode = None
-        items = terms.items() if isinstance(terms, dict) else terms
-        for q, c in items:
+        for q, c in terms:
             q = _as_exponent(q)
             c, cmode = _split_coeff(c)
             if mode is None:
@@ -207,53 +205,32 @@ class LCNumber:
             elif mode != cmode:
                 raise ModeMismatchError(
                     "rational and numeric coefficients in one series")
-            if q in merged:
-                merged[q] = merged[q] + c
-            else:
-                merged[q] = c
-        kept = []
-        for q in sorted(merged):
-            if q >= trunc:
-                continue
-            c = merged[q]
-            if mode == NUMERIC:
-                if abs(c) < _tau:
-                    continue
-            elif c == 0:
-                continue
-            kept.append((q, c))
-        object.__setattr__(self, "terms", tuple(kept))
+            merged[q] = merged[q] + c if q in merged else c
+        numeric = mode == NUMERIC
+        exps = [q for q in sorted(merged) if q < trunc and _kept(merged[q], numeric)]
+        den, keys = _lattice(exps)
+        self._set(trunc, den, keys, [merged[q] for q in exps])
+
+    def _set(self, trunc, den, keys, coeffs) -> "LCNumber":
+        """Make self the series sum c*eps^(k/den) over zip(keys, coeffs),
+        known below trunc, with den reduced to the least lattice.  keys
+        must be increasing ints below _cut(trunc, den), and coeffs kept
+        (see _kept) and of one mode.  Returns self."""
+        if den > 1:
+            g = math.gcd(den, *keys)
+            if g > 1:
+                den //= g
+                keys = [k // g for k in keys]
         object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "mode", mode if kept else None)
-        object.__setattr__(self, "_lat", None)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_keys", tuple(keys))
+        object.__setattr__(self, "_coeffs", tuple(coeffs))
+        return self
 
-    @classmethod
-    def _raw(cls, terms, trunc, mode, lat=None) -> "LCNumber":
-        # trusted constructor for arithmetic-internal use: terms must
-        # already be sorted, filtered and below trunc, and lat, when
-        # given, must be _lattice of their exponents
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "terms", terms)
-        object.__setattr__(obj, "trunc", trunc)
-        object.__setattr__(obj, "mode", mode if terms else None)
-        object.__setattr__(obj, "_lat", lat)
-        return obj
-
-    def _keys(self):
-        """(den, keys): this series' exponent lattice, see _lattice."""
-        if self._lat is None:
-            object.__setattr__(self, "_lat", _lattice([q for q, _ in self.terms]))
-        return self._lat
-
-    def _common_keys(self, other):
-        """(den, self's keys, other's keys) on the least common lattice."""
-        (da, ka), (db, kb) = self._keys(), other._keys()
-        den = math.lcm(da, db)
-        if den != da:
-            ka = [k * (den // da) for k in ka]
-        if den != db:
-            kb = [k * (den // db) for k in kb]
-        return den, ka, kb
+    def _keys_on(self, den):
+        """This series' keys on the lattice 1/den, a multiple of its own."""
+        m = den // self._den
+        return self._keys if m == 1 else [k * m for k in self._keys]
 
     def __setattr__(self, name, value):
         raise AttributeError("LCNumber is immutable")
@@ -261,9 +238,23 @@ class LCNumber:
     # -- basic inspection ------------------------------------------------
 
     @property
+    def terms(self) -> Tuple[Tuple[Fraction, Coefficient], ...]:
+        """(exponent, coefficient) pairs, strictly increasing in exponent."""
+        den = self._den
+        return tuple((Fraction(k, den), c) for k, c in zip(self._keys, self._coeffs))
+
+    @property
+    def mode(self) -> Optional[str]:
+        """The coefficients' mode: "rational", "numeric", or None for a
+        series with no terms."""
+        if not self._coeffs:
+            return None
+        return NUMERIC if isinstance(self._coeffs[0], mpmath.mpf) else RATIONAL
+
+    @property
     def is_zero(self) -> bool:
         """True when no terms survive below the truncation order."""
-        return not self.terms
+        return not self._coeffs
 
     @property
     def is_exact(self) -> bool:
@@ -272,19 +263,20 @@ class LCNumber:
     @property
     def lead_exp(self):
         """Exponent of the lowest-order term; +inf for (truncated) zero."""
-        return self.terms[0][0] if self.terms else INF
+        return Fraction(self._keys[0], self._den) if self._keys else INF
 
     @property
     def lead_coeff(self) -> Optional[Coefficient]:
-        return self.terms[0][1] if self.terms else None
+        return self._coeffs[0] if self._coeffs else None
 
     def coeff(self, q) -> Coefficient:
         q = _as_exponent(q)
-        for e, c in self.terms:
-            if e == q:
-                return c
-            if e > q:
-                break
+        den = self._den
+        if den % q.denominator == 0:
+            k = q.numerator * (den // q.denominator)
+            i = bisect.bisect_left(self._keys, k)
+            if i < len(self._keys) and self._keys[i] == k:
+                return self._coeffs[i]
         return mpmath.mpf(0) if self.mode == NUMERIC else Fraction(0)
 
     def __bool__(self) -> bool:
@@ -320,46 +312,44 @@ class LCNumber:
             return NotImplemented
         a, b, mode = self._join(other)
         trunc = min(a.trunc, b.trunc)
-        den, ka, kb = a._common_keys(b)
+        den = math.lcm(a._den, b._den)
+        ka, kb = a._keys_on(den), b._keys_on(den)
+        ca, cb = a._coeffs, b._coeffs
         cut = _cut(trunc, den)
-        a, b = a.terms, b.terms
-        na, nb = len(a), len(b)
+        na, nb = len(ka), len(kb)
         numeric = mode == NUMERIC
-        out, keys = [], []
+        keys, coeffs = [], []
         i = j = 0
         while i < na and j < nb:
             x, y = ka[i], kb[j]
             if x < y:
-                k, term = x, a[i]
+                k, c = x, ca[i]
                 i += 1
             elif y < x:
-                k, term = y, b[j]
+                k, c = y, cb[j]
                 j += 1
             else:
-                k = x
-                q, c = a[i]
-                c = c + b[j][1]
+                k, c = x, ca[i] + cb[j]
                 i += 1
                 j += 1
-                if not ((abs(c) >= _tau) if numeric else c):
+                if not _kept(c, numeric):
                     continue
-                term = (q, c)
             if k >= cut:
                 break
-            out.append(term)
             keys.append(k)
+            coeffs.append(c)
         else:
-            rest, rkeys, start = (a, ka, i) if i < na else (b, kb, j)
+            rkeys, rest, start = (ka, ca, i) if i < na else (kb, cb, j)
             stop = bisect.bisect_left(rkeys, cut, start)
-            out.extend(rest[start:stop])
             keys.extend(rkeys[start:stop])
-        return LCNumber._raw(tuple(out), trunc, mode, _reduced(den, keys))
+            coeffs.extend(rest[start:stop])
+        return object.__new__(LCNumber)._set(trunc, den, keys, coeffs)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LCNumber._raw(tuple((q, -c) for q, c in self.terms),
-                             self.trunc, self.mode, self._lat)
+        return object.__new__(LCNumber)._set(self.trunc, self._den, self._keys,
+                                             [-c for c in self._coeffs])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -379,17 +369,17 @@ class LCNumber:
             return NotImplemented
         a, b, mode = self._join(other)
         t = _as_trunc(min(a.trunc + b.lead_exp, b.trunc + a.lead_exp))
-        if not a.terms or not b.terms:
-            return LCNumber._raw((), t, None)
-        den, ka, kb = a._common_keys(b)
+        if not a._keys or not b._keys:
+            return object.__new__(LCNumber)._set(t, 1, (), ())
+        den = math.lcm(a._den, b._den)
+        ka, kb = a._keys_on(den), b._keys_on(den)
         cut = _cut(t, den)
         numeric = mode == NUMERIC
         if numeric:
-            ca = [c for _, c in a.terms]
-            cb = [c for _, c in b.terms]
+            ca, cb = a._coeffs, b._coeffs
         else:
-            ca, dca = _numerators(a.terms)
-            cb, dcb = _numerators(b.terms)
+            ca, dca = _numerators(a._coeffs)
+            cb, dcb = _numerators(b._coeffs)
         b_terms = list(zip(kb, cb))
         b0 = kb[0]
         prod = {}
@@ -404,13 +394,12 @@ class LCNumber:
                     prod[q] = prod[q] + x * y
                 else:
                     prod[q] = x * y
-        out, keys = [], []
-        for q in sorted(prod):
-            c = prod[q]
-            if (abs(c) >= _tau) if numeric else c:
-                out.append((Fraction(q, den), c if numeric else Fraction(c, dca * dcb)))
-                keys.append(q)
-        return LCNumber._raw(tuple(out), t, mode, _reduced(den, keys))
+        keys = [q for q in sorted(prod) if _kept(prod[q], numeric)]
+        if numeric:
+            coeffs = [prod[q] for q in keys]
+        else:
+            coeffs = [Fraction(prod[q], dca * dcb) for q in keys]
+        return object.__new__(LCNumber)._set(t, den, keys, coeffs)
 
     __rmul__ = __mul__
 
@@ -446,13 +435,10 @@ class LCNumber:
 
     def truncate(self, order) -> "LCNumber":
         """Forget all terms with exponent >= order."""
-        order = _as_trunc(order)
-        trunc = min(self.trunc, order)
-        keep = len(self.terms)
-        while keep and self.terms[keep - 1][0] >= trunc:
-            keep -= 1
-        return LCNumber._raw(self.terms[:keep], trunc, self.mode,
-                             self._lat if keep == len(self.terms) else None)
+        trunc = min(self.trunc, _as_trunc(order))
+        keep = bisect.bisect_left(self._keys, _cut(trunc, self._den))
+        return object.__new__(LCNumber)._set(trunc, self._den, self._keys[:keep],
+                                             self._coeffs[:keep])
 
     def inverse(self) -> "LCNumber":
         """Multiplicative inverse: (1 + u)^-1 by the recurrence of _binomial.
@@ -461,9 +447,9 @@ class LCNumber:
         exponent and T_eff is the input's own order when finite, otherwise
         q plus the ambient default order.
         """
-        if not self.terms:
+        if not self._coeffs:
             raise ZeroDivisionError("inverse of a series that is zero at its truncation order")
-        return self._binomial(1 / self.terms[0][1], Fraction(-1))
+        return self._binomial(1 / self._coeffs[0], Fraction(-1))
 
     def sqrt(self) -> "LCNumber":
         """Square root of a strictly positive series.
@@ -474,7 +460,7 @@ class LCNumber:
         """
         if self.sign() <= 0:
             raise ValueError("sqrt needs a strictly positive series")
-        c = self.terms[0][1]
+        c = self._coeffs[0]
         if self.mode == NUMERIC:
             return self._binomial(mpmath.sqrt(c), Fraction(1, 2))
         rn, rd = math.isqrt(c.numerator), math.isqrt(c.denominator)
@@ -491,49 +477,46 @@ class LCNumber:
         exponents w_0 = 1 and k*w_k = sum_j ((a+1)*j - k) * u_j * w_(k-j),
         here multiplied by a's denominator d so every factor is an integer.
         """
-        q, c = self.terms[0]
+        q, c = self.lead_exp, self._coeffs[0]
         lead = monomial(c_a, a * q)
-        if len(self.terms) == 1:
+        if len(self._keys) == 1:
             return lead.truncate(self.trunc + (a - 1) * q)
         t_rel = self.trunc - q if self.trunc != INF else _default_trunc
-        tail = LCNumber._raw(self.terms[1:], self.trunc, self.mode)
+        tail = object.__new__(LCNumber)._set(self.trunc, self._den, self._keys[1:],
+                                             self._coeffs[1:])
         u = (tail * monomial(1 / c, -q)).truncate(t_rel)
-        den_u, keys_u = u._keys()
-        den = math.lcm(den_u, t_rel.denominator)
+        den = math.lcm(u._den, t_rel.denominator)
         cut = _cut(t_rel, den)
-        u_keys = [(k * (den // den_u), u_k) for k, (_, u_k) in zip(keys_u, u.terms)]
         if cut > MAX_LATTICE_POINTS:
             raise LCGraphError(f"expanding to relative order {t_rel} on the "
                                f"exponent lattice 1/{den} needs {cut} "
                                f"coefficients, more than {MAX_LATTICE_POINTS}")
+        u_terms = list(zip(u._keys_on(den), u._coeffs))
         n, d = a.numerator, a.denominator
         numeric = self.mode == NUMERIC
         w = [mpmath.mpf(1) if numeric else Fraction(1)] + [0] * (cut - 1)
-        out = [(Fraction(0), w[0])]
-        keys = [0]
+        keys, coeffs = [0], [w[0]]
         for k in range(1, cut):
             acc = 0
-            for j, u_j in u_keys:
+            for j, u_j in u_terms:
                 if j > k:
                     break
                 if w[k - j]:
                     acc += ((n + d) * j - d * k) * u_j * w[k - j]
             w_k = acc / (d * k)
-            if (abs(w_k) >= _tau) if numeric else (w_k != 0):
+            if _kept(w_k, numeric):
                 w[k] = w_k
-                out.append((Fraction(k, den), w_k))
                 keys.append(k)
-        return lead * LCNumber._raw(tuple(out), t_rel, self.mode,
-                                    _reduced(den, keys))
+                coeffs.append(w_k)
+        return lead * object.__new__(LCNumber)._set(t_rel, den, keys, coeffs)
 
     # -- order ------------------------------------------------------------
 
     def sign(self) -> int:
         """-1, 0 or 1 according to the field order; 0 means zero at truncation."""
-        if not self.terms:
+        if not self._coeffs:
             return 0
-        c = self.terms[0][1]
-        return 1 if c > 0 else -1
+        return 1 if self._coeffs[0] > 0 else -1
 
     def __abs__(self) -> "LCNumber":
         return -self if self.sign() < 0 else self
@@ -572,9 +555,12 @@ class LCNumber:
 
     def identical(self, other: "LCNumber") -> bool:
         """Structural equality: same terms, same truncation order."""
+        # den is least on both sides, so equal exponents mean equal lattices
         return (isinstance(other, LCNumber)
                 and self.trunc == other.trunc
-                and self.terms == other.terms)
+                and self._den == other._den
+                and self._keys == other._keys
+                and self._coeffs == other._coeffs)
 
     # -- conversions and display ------------------------------------------
 
@@ -582,8 +568,13 @@ class LCNumber:
         """Copy with rational coefficients converted to numeric floats."""
         if self.mode != RATIONAL:
             return self
-        return LCNumber(tuple((q, _frac_to_mpf(c)) for q, c in self.terms),
-                        trunc=self.trunc)
+        keys, coeffs = [], []
+        for k, c in zip(self._keys, self._coeffs):
+            c = _frac_to_mpf(c)
+            if _kept(c, True):
+                keys.append(k)
+                coeffs.append(c)
+        return object.__new__(LCNumber)._set(self.trunc, self._den, keys, coeffs)
 
     def eval_at(self, x):
         """Substitute a concrete value for eps (diagnostics, plots, tests)."""
@@ -646,10 +637,9 @@ def comparable(a: LCNumber, b) -> bool:
     a, b, mode = a._join(coerced)
     if a.is_zero or b.is_zero:
         return a.is_zero and b.is_zero
-    qa, ca = a.terms[0]
-    qb, cb = b.terms[0]
-    if qa != qb:
+    if a.lead_exp != b.lead_exp:
         return False
+    ca, cb = a.lead_coeff, b.lead_coeff
     if mode == NUMERIC:
         return abs(ca - cb) < _tau
     return ca == cb
@@ -713,14 +703,19 @@ def format_series(a: LCNumber, digits: Optional[int] = None) -> str:
 
 # -- parsing ----------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"""
+_DECIMAL = r"\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+"
+
+_TOKEN_RE = re.compile(rf"""
       (?P<ws>\s+)
-    | (?P<decimal>\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)
+    | (?P<decimal>{_DECIMAL})
     | (?P<int>\d+)
     | (?P<eps>eps\b)
     | (?P<bigo>O\b)
     | (?P<sym>[-+*/^()])
 """, re.VERBOSE)
+
+# exactly the text of one int or decimal token
+_LITERAL_RE = re.compile(rf"{_DECIMAL}|\d+")
 
 
 # the most digits the exact value of one literal may need: Python's own
@@ -745,6 +740,8 @@ def exact_literal(text: str) -> Fraction:
     (= 1/400).  Raises ValueError when it is malformed, or when its
     mantissa digits plus the size of its net exponent exceed
     MAX_LITERAL_DIGITS."""
+    if not _LITERAL_RE.fullmatch(text):
+        raise ValueError(f"malformed literal {text!r}")
     mantissa, _, exp = text.lower().partition("e")
     whole, _, frac = mantissa.partition(".")
     # the exponent is read only once it is too short to be huge

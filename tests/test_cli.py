@@ -135,6 +135,9 @@ def test_precision_is_restored_after_main(capsys):
     ["spectrum", "--trunc", "1/" + "3" * 5000, "k2.ofg"],
     ["spectrum", "--precision", "7128", "k2.ofg"],
     ["spectrum", "--precision", "5347", "k2.ofg"],
+    ["spectrum", "--trunc", "1e", "k2.ofg"],
+    ["spectrum", "--trunc", "2.5e", "k2.ofg"],
+    ["spectrum", "--trunc", "1_0", "k2.ofg"],
 ])
 def test_bad_flag_value_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -7,7 +7,7 @@ import mpmath
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcgraph import INF, LCNumber, comparable, format_series, parse_series
+from lcgraph import INF, LCNumber, comparable, eps, format_series, parse_series
 from lcgraph.series import _lattice, zero_threshold
 
 exponents = st.fractions(min_value=-4, max_value=10, max_denominator=4)
@@ -161,8 +161,8 @@ def assert_kernel(got, want):
     for q, c in got.terms:
         assert _reduced(q)
         assert _reduced(c) or type(c) is mpmath.mpf
-    # the lattice handed over by + and * is the one computed afresh
-    assert got._keys() == _lattice([q for q, _ in got.terms])
+    # the stored lattice is the least one of the exponents
+    assert (got._den, got._keys) == _lattice([q for q, _ in got.terms])
 
 
 # few distinct coefficients, so that sums cancel often
@@ -212,7 +212,7 @@ def test_cancellation_to_exact_zero(a, b):
     assert_kernel(a + (-a), ((), a.trunc))
     assert_kernel((a + b) - b, naive_add(a + b, -b))
     d = (a * b) - (b * a)
-    assert d.is_zero and d._keys() == (1, ())
+    assert d.is_zero and (d._den, d._keys) == (1, ())
 
 
 @given(inexact, inexact)
@@ -225,3 +225,24 @@ def test_numeric_kernel_is_bit_identical(a, b):
     ax = a.to_numeric() if y.mode else a
     assert_kernel(a * y, naive_mul(ax, y))
     assert_kernel(a + y, naive_add(ax, y))
+
+
+# -- one stored representation ------------------------------------------------
+
+@settings(deadline=None)
+@given(on_lattice(), on_lattice(),
+       st.fractions(min_value=-2, max_value=20, max_denominator=6))
+def test_identical_is_equal_terms_and_trunc(a, b, t):
+    results = [a + b, b + a, (a + b) - b, a.truncate(min(a.trunc, b.trunc)),
+               a * b, b * a, a.truncate(t), (a * b).truncate(t),
+               a.to_numeric(), (a + b).to_numeric()]
+    results += [x.inverse() for x in (a, a + b) if not x.is_zero]
+    for x in results:
+        for y in results:
+            assert x.identical(y) == ((x.terms, x.trunc) == (y.terms, y.trunc))
+
+
+def test_truncate_leaves_the_least_lattice():
+    x = (1 + eps(Fraction(1, 2))).truncate(Fraction(1, 2))
+    assert (x._den, x._keys) == (1, (0,))
+    assert x.identical(parse_series("1 + O(eps^(1/2))"))
