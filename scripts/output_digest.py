@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write every public output of lcgraph on 473 cases, one file each.
+"""Write every public output of lcgraph on 479 cases, one file each.
 
     PYTHONPATH=src python3 scripts/output_digest.py DIR
 
@@ -26,7 +26,7 @@ graphs of perfbench/audit_pool.json at trunc 4, 40 draws each of
 ``random_graph`` from tests/corpus.py with seeds 0-3, and the acceptance
 corpus (``random.Random(0)``, monomial weights, 200 draws), all at
 trunc 4, every bundled ``fixtures/*.ofg`` at trunc 4 and at trunc 8
-(``fixture-<name>-t<trunc>``, 18 cases), and the 30 walk cases; every
+(``fixture-<name>-t<trunc>``, 24 cases), and the 30 walk cases; every
 case runs inside ``truncation(trunc)``, as ``lcgraph verify --trunc``
 does.  The perfbench files are read, never written.
 

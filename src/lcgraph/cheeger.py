@@ -104,22 +104,25 @@ def _top_valuation_cuts(g: OFGraph, weights, total, edges):
     valuation val b(dS) - max(val b(S), val b(V\\S)).  Exponents are put
     on one integer lattice first, so the pass compares ints only.
 
-    This pass is also the one check for degenerate cuts, those where a
-    side has no known term.  b(S) never is: it is a sum of positive
-    series, known below the least truncation order among them; the summand
-    with that order has its lead below it, so val b(S), the least lead,
-    lies below it too, with a positive coefficient.  b(V\\S) is formed as
-    total - b(S) and is known only below total.trunc; below that it is the
-    sum over V\\S, so it has a known positive term at val b(V\\S) whenever
-    that lies below total.trunc, and no known term otherwise.  So a cut is
-    degenerate exactly when val b(V\\S) >= total.trunc.  The first such
-    mask raises, before anything is pruned, and a search that gets past
-    this pass never meets a zero mass.
+    Before ranking, it raises for the first degenerate cut, one where a
+    side has no known term, so the search never meets a zero mass.  b(S)
+    always has one: a sum of positive series leads below its own order.
+    b(V\\S) = total - b(S) is known only below total.trunc, so the cut is
+    degenerate exactly when V\\S misses ``low``, the vertices with
+    val b(x) below total.trunc.  The first such mask is ``low`` itself,
+    and there is none when ``low`` holds the last vertex.
     """
     n = g.n
     den, keys = _lattice([w.lead_exp for w in weights] + [w.lead_exp for _, _, w in edges])
-    cut = _cut(total.trunc, den)
     vw = keys[:n]
+    cut = _cut(total.trunc, den)
+    low = sum(1 << i for i in range(n) if vw[i] < cut)
+    if not low >> (n - 1):
+        names = ", ".join(g.vertices[i] for i in range(n) if low >> i & 1)
+        mass = total - _mass({0: zero()}, weights, low)
+        raise GraphValidationError(
+            f"cut {{{names}}} has mass {format_series(mass)}: the weights "
+            "are not known far enough to compare cuts")
     by_valuation = sorted(zip(keys[n:], (bx | by for bx, by, _ in edges)),
                           key=lambda e: e[0])
     full = (1 << (n - 1)) - 1
@@ -132,12 +135,6 @@ def _top_valuation_cuts(g: OFGraph, weights, total, edges):
     for mask in range(1, full + 1):
         # the complement always holds the last vertex
         vout = min(vin[full ^ mask], vw[n - 1])
-        if vout >= cut:
-            names = ", ".join(g.vertices[i] for i in range(n) if mask >> i & 1)
-            mass = total - _mass({0: zero()}, weights, mask)
-            raise GraphValidationError(
-                f"cut {{{names}}} has mass {format_series(mass)}: the weights "
-                "are not known far enough to compare cuts")
         for vb, ends in by_valuation:
             # connected graphs always have a crossing edge for a proper subset
             if mask & ends and mask & ends != ends:

@@ -23,15 +23,11 @@ class NumericModeRequired(LCGraphError):
 class SeriesParseError(LCGraphError):
     """Malformed series literal.  Carries the character position."""
 
-    def __init__(self, message, position=None, line=None):
-        detail = message
-        if line is not None:
-            detail = f"line {line}: {detail}"
+    def __init__(self, message, position=None):
         if position is not None:
-            detail = f"{detail} (column {position + 1})"
-        super().__init__(detail)
+            message = f"{message} (column {position + 1})"
+        super().__init__(message)
         self.position = position
-        self.line = line
 
 
 class GraphValidationError(LCGraphError):

@@ -36,6 +36,9 @@ class OFGraph:
     def __setattr__(self, name, value):
         raise AttributeError("OFGraph is immutable")
 
+    def __reduce__(self):
+        return OFGraph, (self.vertices, self._adj)
+
     @classmethod
     def from_edges(cls, edges: Iterable[Tuple[str, str, LCNumber]],
                    vertices: Optional[Sequence[str]] = None) -> "OFGraph":
@@ -192,6 +195,9 @@ class VertexFunction:
 
     def __setattr__(self, name, value):
         raise AttributeError("VertexFunction is immutable")
+
+    def __reduce__(self):
+        return VertexFunction, (self.vertices, self.values)
 
     @classmethod
     def from_mapping(cls, vertices: Sequence[str], mapping) -> "VertexFunction":

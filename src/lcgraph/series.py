@@ -235,6 +235,11 @@ class LCNumber:
     def __setattr__(self, name, value):
         raise AttributeError("LCNumber is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor: the default
+        # restore would set the slots through __setattr__
+        return LCNumber, (self.terms, self.trunc)
+
     # -- basic inspection ------------------------------------------------
 
     @property

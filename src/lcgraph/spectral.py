@@ -19,6 +19,7 @@ inside each eigenspace and scaled so the first nonzero coordinate is 1.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -31,12 +32,11 @@ from .operators import inner, probability_matrix
 from .realroots import real_roots
 from .reports import Report
 from .series import (INF, NUMERIC, RATIONAL, LCNumber, _frac_to_mpf,
-                     default_truncation, format_series, monomial, truncation,
-                     zero)
+                     default_truncation, eps, format_series, monomial,
+                     truncation, zero)
 
 MAX_VERTICES = 12
-# root-lifting budgets: cluster nesting, polygon extensions, Newton steps
-MAX_CLUSTER_DEPTH = 8
+# root-lifting budgets: polygon extensions, Newton steps
 MAX_EXTENSIONS = 400
 MAX_NEWTON_STEPS = 120
 
@@ -52,13 +52,6 @@ def _one_like(mode: Optional[str]) -> LCNumber:
     return monomial(Fraction(1))
 
 
-def _shift_exponents(a: LCNumber, s: Fraction) -> LCNumber:
-    """Multiply by eps^s without touching coefficients (exact in any mode)."""
-    if s == 0:
-        return a
-    return LCNumber(tuple((q + s, c) for q, c in a.terms), trunc=a.trunc + s)
-
-
 class LCPolynomial:
     """Polynomial with series coefficients, ascending by degree."""
 
@@ -72,6 +65,9 @@ class LCPolynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("LCPolynomial is immutable")
+
+    def __reduce__(self):
+        return LCPolynomial, (self.coeffs,)
 
     @property
     def degree(self) -> int:
@@ -231,16 +227,24 @@ def _newton_refine(q: LCPolynomial, dq: LCPolynomial, mu: LCNumber) -> LCNumber:
 
 def _rescale_shift(q: LCPolynomial, s: Fraction, c) -> LCPolynomial:
     """The polynomial nu -> q(eps^s * (c + nu)), normalised by its content."""
-    scaled = [_shift_exponents(ci, s * i) for i, ci in enumerate(q.coeffs)]
-    vmin = min(ci.lead_exp for ci in scaled if not ci.is_zero)
-    scaled = [_shift_exponents(ci, -vmin) for ci in scaled]
+    vmin = min(ci.lead_exp + s * i for i, ci in enumerate(q.coeffs) if not ci.is_zero)
+    scaled = [ci * eps(s * i - vmin) for i, ci in enumerate(q.coeffs)]
     return LCPolynomial(scaled).shift(monomial(c))
 
 
 def _val_positive_roots(q: LCPolynomial, depth: int = 0) -> List[LCNumber]:
-    """All roots of q with strictly positive valuation, with multiplicity."""
-    if depth > MAX_CLUSTER_DEPTH:
-        raise LiftError(f"root cluster nesting exceeded depth {MAX_CLUSTER_DEPTH}")
+    """All roots of q with strictly positive valuation, with multiplicity.
+
+    A multiple root c of a segment of slope -s recurses on the rescaled
+    q(eps^s * (c + nu)) / eps^vmin, adding the term c*eps^s to the
+    cluster's roots.  No coefficient has negative valuation and the segment
+    ends at index 2 or later, so vmin >= 2s: the new constant term is known
+    to at least 2s less than q's.  Once the steps add up to half the working
+    order it has no known term, and the ``m0`` branch returns truncated zeros.
+    """
+    # exit 2, not a RecursionError traceback; 200 frames stay for the callers
+    if depth > sys.getrecursionlimit() - 200:
+        raise LiftError("root cluster nesting exceeded the recursion limit")
     coeffs = q.coeffs
     nz = [i for i, ci in enumerate(coeffs) if not ci.is_zero]
     if not nz:
@@ -289,7 +293,7 @@ def _val_positive_roots(q: LCPolynomial, depth: int = 0) -> List[LCNumber]:
                 if len(sub) != root.multiplicity:
                     raise LiftError("cluster recursion lost branches; "
                                     "increase the truncation order")
-                out.extend(lead + _shift_exponents(nu, s) for nu in sub)
+                out.extend(lead + nu * eps(s) for nu in sub)
     return out
 
 
@@ -509,13 +513,13 @@ def _decompose(g: OFGraph, t_req: Fraction):
 def compute_spectrum(g: OFGraph, trunc_order=None, mode: str = "auto") -> Spectrum:
     """Full eigendecomposition of the walk operator of g.
 
-    Works at twice the requested truncation order internally and doubles
-    that margin (to four, then eight times the request) when an eigenvalue
-    sits so deep that root lifting runs out of resolution.  The spectrum
-    stays rational when every eigenvalue series has rational coefficients
-    and otherwise redoes the lift numerically, depending on the graph and
-    the order alone, not on the numeric precision.  mode "numeric" returns
-    the same spectrum with float coefficients in its pairs and ``char``.
+    Works at twice the requested truncation order internally, and at four
+    times the request when an eigenvalue sits so deep that root lifting
+    runs out of resolution at twice.  The spectrum stays rational when
+    every eigenvalue series has rational coefficients and otherwise redoes
+    the lift numerically, depending on the graph and the order alone, not
+    on the numeric precision.  mode "numeric" returns the same spectrum
+    with float coefficients in its pairs and ``char``.
     """
     if mode not in ("auto", NUMERIC):
         raise ValueError(f"unknown mode {mode!r}; expected 'auto' or 'numeric'")
@@ -525,17 +529,15 @@ def compute_spectrum(g: OFGraph, trunc_order=None, mode: str = "auto") -> Spectr
         raise GraphValidationError(
             f"vertex count {g.n} outside the supported range [2, {MAX_VERTICES}]")
     t_req = Fraction(trunc_order if trunc_order is not None else default_truncation())
-    failure = None
-    for factor in (2, 4, 8):
+    for factor in (2, 4):
         t_work = factor * t_req
         try:
             with truncation(t_work):
                 pairs, out_mode, p, residual = _decompose(g, t_req)
             break
-        except LiftError as exc:
-            failure = exc
-    else:
-        raise failure
+        except LiftError:
+            if factor == 4:
+                raise
     if mode == NUMERIC:
         pairs = [EigenPair(e.lam.to_numeric(), e.alpha.to_numeric(),
                            e.function.to_numeric()) for e in pairs]

@@ -2,6 +2,7 @@
 
 import importlib.util
 import pathlib
+import sys
 import time
 
 import pytest
@@ -245,3 +246,19 @@ def test_random_audit_reports_a_refused_draw(monkeypatch, capsys):
     assert out.startswith("graph 0 FAILED:\n")
     assert "  error: refused draw\n" in out
     assert "audited 2 graphs" in out and "1 graph(s) FAILED" in out
+
+
+@pytest.mark.parametrize("name", ["k4-two-edges.ofg", "prism-rungs.ofg",
+                                  "cube-matching.ofg"])
+def test_verify_lifts_deep_root_clusters(name, capsys):
+    # a double eigenvalue at every order nests 10 or 11 cluster levels
+    code, out, err = run_cli(["verify", "--trunc", "12", name], capsys)
+    assert (code, err) == (0, "")
+
+
+def test_cluster_past_the_recursion_limit_exits_2(monkeypatch, capsys):
+    # a limit of 205 leaves 5 cluster levels, and K4 needs 11 at trunc 12
+    monkeypatch.setattr(sys, "getrecursionlimit", lambda: 205)
+    code, out, err = run_cli(["verify", "--trunc", "12", "k4-two-edges.ofg"], capsys)
+    assert (code, out) == (2, "")
+    assert "root cluster nesting exceeded the recursion limit" in err

@@ -1,6 +1,8 @@
 """Eigendecomposition: char poly oracle, known spectra, numeric cross-check."""
 
+import copy
 import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from lcgraph import (
     compute_spectrum,
     format_series,
     VertexFunction,
+    cheeger_constant,
     inner,
     load_graph,
     monomial,
@@ -243,3 +246,39 @@ def test_lift_evaluates_q_once_per_point(monkeypatch):
     assert len(roots) == g.n
     assert len(seen) > 4 * g.n
     assert len({(id(poly), x) for poly, x in seen}) == len(seen)
+
+
+@pytest.mark.parametrize("name", ["k4-two-edges", "prism-rungs", "cube-matching"])
+def test_symmetric_graph_lifts_a_deep_root_cluster(name, fixtures_dir):
+    # P has a double eigenvalue at every order, and the lift adds one term
+    # of it per cluster level: 10 or 11 levels at trunc 12
+    g = load_graph(fixtures_dir / f"{name}.ofg")
+    with truncation(12):
+        spec = compute_spectrum(g, trunc_order=12)
+        rep = verify_spectral_theorems(g, spec)
+    assert rep.passed, rep.render()
+
+
+def test_k4_two_edges_double_eigenvalue_at_trunc_16(fixtures_dir):
+    g = load_graph(fixtures_dir / "k4-two-edges.ofg")
+    with truncation(16):
+        spec = compute_spectrum(g, trunc_order=16)
+        rep = verify_spectral_theorems(g, spec)
+    assert rep.passed, rep.render()
+    assert spec.alphas[2].identical(spec.alphas[3])
+
+
+def test_spectrum_and_cut_survive_copy_and_pickle(fig1):
+    spec, cut = compute_spectrum(fig1), cheeger_constant(fig1)
+    assert spec.mode == "numeric"  # mpf coefficients travel too
+    for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        spec2, cut2 = clone(spec), clone(cut)
+        for a, b in zip(spec.pairs, spec2.pairs):
+            assert a.alpha.identical(b.alpha) and a.lam.identical(b.lam)
+            assert all(x.identical(y)
+                       for x, y in zip(a.function.values, b.function.values))
+        assert all(x.identical(y) for x, y in zip(spec.char.coeffs, spec2.char.coeffs))
+        assert spec2.graph.vertices == fig1.vertices
+        assert all(w.identical(w2) for (_, _, w), (_, _, w2)
+                   in zip(fig1.edges(), spec2.graph.edges()))
+        assert cut2.subset == cut.subset and cut2.h.identical(cut.h)
