@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write every public output of lcgraph on 479 cases, one file each.
+"""Write every public output of lcgraph on 519 cases, one file each.
 
     PYTHONPATH=src python3 scripts/output_digest.py DIR
 
@@ -23,9 +23,10 @@ the 30 graphs of the first round of perfbench's ``walk_rounds(7)``.
 An exception ends a section with an ``error:`` line.  The cases are the
 ``FAILURE_GRAPHS`` of perfbench/inputs.py at their own orders, the 60
 graphs of perfbench/audit_pool.json at trunc 4, 40 draws each of
-``random_graph`` from tests/corpus.py with seeds 0-3, and the acceptance
-corpus (``random.Random(0)``, monomial weights, 200 draws), all at
-trunc 4, every bundled ``fixtures/*.ofg`` at trunc 4 and at trunc 8
+``random_graph`` from tests/corpus.py with seeds 0-3, 40 draws with
+``truncated_weight`` weights, each cut ``O(eps^k)`` above its leading
+term, with seed 5 (``trunc-05-NN``), and the acceptance corpus
+(``random.Random(0)``, monomial weights, 200 draws), all at trunc 4, every bundled ``fixtures/*.ofg`` at trunc 4 and at trunc 8
 (``fixture-<name>-t<trunc>``, 24 cases), and the 30 walk cases; every
 case runs inside ``truncation(trunc)``, as ``lcgraph verify --trunc``
 does.  The perfbench files are read, never written.
@@ -63,7 +64,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True
 sys.path.insert(0, str(ROOT / "tests"))
 sys.path.insert(0, str(ROOT / "perfbench"))
-from corpus import random_graph, random_monomial_weight  # noqa: E402
+from corpus import random_graph, random_monomial_weight, truncated_weight  # noqa: E402
 from inputs import FAILURE_GRAPHS, POOL_FILE, WALK_STEPS, walk_rounds  # noqa: E402
 
 TRUNC = Fraction(4)
@@ -83,6 +84,9 @@ def cases():
         rng = random.Random(seed)
         for i in range(40):
             yield f"random-s{seed}-{i:02d}", random_graph(rng), TRUNC
+    rng = random.Random(5)
+    for i in range(40):
+        yield f"trunc-05-{i:02d}", random_graph(rng, weight=truncated_weight), TRUNC
     rng = random.Random(0)
     for i in range(200):
         yield f"corpus-{i:03d}", random_graph(rng, weight=random_monomial_weight), TRUNC

@@ -9,14 +9,13 @@ weights of edges leaving S.  Over an ordered series field the minimum is
 taken in the field order, so enumeration must be exhaustive: there is no
 useful rounding that would let a heuristic cut stand in for the true one.
 
-The enumeration runs in two passes.  The first ranks every cut by the
-valuation of its ratio, in integer arithmetic: weights are positive, so
-no sum cancels and each valuation is a minimum of leading exponents.  A
-ratio of lower valuation is larger, so only the cuts of the top valuation
-can give the minimum.  The second pass compares those with the best so
-far by cross-multiplication, b * m_best against b_best * m, which orders
-the ratios b/m because masses are positive, and divides once, for the
-winning cut.
+The enumeration ranks cuts by the leading term of their ratio before any
+series work.  Weights are positive, so no sum cancels and every leading
+term is read off the summands' leading terms.  A first pass ranks every
+cut by the ratio's valuation, in integer arithmetic; a ratio of lower
+valuation is larger.  A second pass ranks the cuts of the top valuation by
+the ratio's leading coefficient, and keeps those where it is least.  Only
+the kept cuts are divided out, h = b(boundary S) * mass^-1, and compared.
 
 Subsets are visited in ascending mask order, not by Gray code: a
 comparison of truncated series calls a difference at or past the
@@ -32,8 +31,7 @@ from typing import Tuple
 from .errors import GraphValidationError
 from .graphs import OFGraph
 from .reports import Report
-from .series import (INF, LCNumber, NUMERIC, _cut, _lattice, default_truncation,
-                     format_series, zero)
+from .series import INF, LCNumber, NUMERIC, _cut, _lattice, format_series, zero
 from .spectral import MAX_VERTICES, Spectrum
 
 
@@ -52,57 +50,20 @@ class CheegerCut:
     mass: LCNumber
 
 
-def _ratio_order(boundary: LCNumber, mass: LCNumber):
-    """Truncation order of boundary * mass.inverse(), without dividing.
+def _leading_term_cuts(g: OFGraph, weights, total, edges):
+    """The masks whose ratio has the least leading term, ascending.
 
-    The inverse of c*eps^q*(1 + u) is known to mass.trunc - 2q, or for an
-    exact mass to the ambient order minus q (exactly, for a single term).
-    """
-    q = mass.lead_exp
-    if mass.trunc != INF:
-        inverse = mass.trunc - 2 * q
-    elif len(mass.terms) > 1:
-        inverse = default_truncation() - q
-    else:
-        inverse = INF
-    return min(boundary.trunc - q, inverse + boundary.lead_exp)
-
-
-def _cross_sign(b, m, tau, best_b, best_m, best_tau) -> int:
-    """(b * m.inverse() - best_b * best_m.inverse()).sign(), division-free.
-
-    tau and best_tau are the truncation orders of the two ratios.  Their
-    difference is D / (m * best_m) with D = b * best_m - best_b * m, so it
-    has D's sign, and it is zero at its order min(tau, best_tau) exactly
-    when D is zero below that order plus val m + val best_m.  Cutting each
-    factor so the products stop there loses no known term of D below it:
-    when the ratios' valuations differ, D's lowest term decides, and when
-    they agree no factor is cut below its own truncation order.
-    """
-    order = min(tau, best_tau) + m.lead_exp + best_m.lead_exp
-    d = (b.truncate(order - best_m.lead_exp) * best_m.truncate(order - b.lead_exp)
-         - best_b.truncate(order - m.lead_exp) * m.truncate(order - best_b.lead_exp))
-    return d.sign()
-
-
-def _mass(masses, weights, mask) -> LCNumber:
-    # b(S) from a prefix table filled on demand, masses[mask] =
-    # masses[mask ^ top] + w[top], with masses = {0: zero()}
-    if mask not in masses:
-        top = mask.bit_length() - 1
-        masses[mask] = _mass(masses, weights, mask ^ (1 << top)) + weights[top]
-    return masses[mask]
-
-
-def _top_valuation_cuts(g: OFGraph, weights, total, edges):
-    """Pass 1: the masks whose ratio reaches the largest valuation, ascending.
-
-    Weights are positive, so no sum cancels and every valuation is the
-    least leading exponent of its summands: val b(S) is the minimum over
+    Weights are positive, so no sum cancels: the leading term of a sum is
+    that of its summands at their least exponent, with their coefficients
+    added.  Pass 1 ranks every mask by the valuation of the ratio,
+    val b(dS) - max(val b(S), val b(V\\S)): val b(S) is the minimum over
     the members, built as a prefix-min table, and val b(dS) is that of the
-    first crossing edge in valuation order.  The ratio of a cut has
-    valuation val b(dS) - max(val b(S), val b(V\\S)).  Exponents are put
-    on one integer lattice first, so the pass compares ints only.
+    first crossing edge in valuation order.  Exponents are put on one
+    integer lattice first, so the pass compares ints only.  Pass 2 takes
+    the masks of the top valuation and ranks them by the leading
+    coefficient of the ratio, c(dS) / c(mass), where the mass is the
+    smaller side: the one of larger valuation, or of smaller leading
+    coefficient when the valuations agree.
 
     Before ranking, it raises for the first degenerate cut, one where a
     side has no known term, so the search never meets a zero mass.  b(S)
@@ -110,7 +71,8 @@ def _top_valuation_cuts(g: OFGraph, weights, total, edges):
     b(V\\S) = total - b(S) is known only below total.trunc, so the cut is
     degenerate exactly when V\\S misses ``low``, the vertices with
     val b(x) below total.trunc.  The first such mask is ``low`` itself,
-    and there is none when ``low`` holds the last vertex.
+    and there is none when ``low`` holds the last vertex.  Past that
+    check every leading term above lies below its series' order.
     """
     n = g.n
     den, keys = _lattice([w.lead_exp for w in weights] + [w.lead_exp for _, _, w in edges])
@@ -119,7 +81,7 @@ def _top_valuation_cuts(g: OFGraph, weights, total, edges):
     low = sum(1 << i for i in range(n) if vw[i] < cut)
     if not low >> (n - 1):
         names = ", ".join(g.vertices[i] for i in range(n) if low >> i & 1)
-        mass = total - _mass({0: zero()}, weights, low)
+        mass = total - sum((weights[i] for i in range(n) if low >> i & 1), zero())
         raise GraphValidationError(
             f"cut {{{names}}} has mass {format_series(mass)}: the weights "
             "are not known far enough to compare cuts")
@@ -140,8 +102,27 @@ def _top_valuation_cuts(g: OFGraph, weights, total, edges):
             if mask & ends and mask & ends != ends:
                 break
         ranks.append(vb - max(vin[mask], vout))
-    best = max(ranks)
-    return [mask for mask, r in enumerate(ranks, 1) if r == best]
+    top_rank = max(ranks)
+
+    vertex_leads = [(k, w.lead_coeff) for k, w in zip(vw, weights)]
+    edge_leads = [(k, bx | by, w.lead_coeff) for k, (bx, by, w) in zip(keys[n:], edges)]
+
+    def lead(terms):
+        # the leading (exponent key, coefficient) of a sum of positive series
+        v = min(k for k, _ in terms)
+        return v, sum(c for k, c in terms if k == v)
+
+    coeffs = {}
+    for mask, r in enumerate(ranks, 1):
+        if r == top_rank:
+            inside = lead([t for i, t in enumerate(vertex_leads) if mask >> i & 1])
+            outside = lead([t for i, t in enumerate(vertex_leads) if not mask >> i & 1])
+            mass = min(inside, outside, key=lambda t: (-t[0], t[1]))
+            boundary = lead([(k, c) for k, ends, c in edge_leads
+                             if mask & ends and mask & ends != ends])
+            coeffs[mask] = boundary[1] / mass[1]
+    least = min(coeffs.values())
+    return [mask for mask, c in coeffs.items() if c == least]
 
 
 def cheeger_constant(g: OFGraph) -> CheegerCut:
@@ -151,13 +132,15 @@ def cheeger_constant(g: OFGraph) -> CheegerCut:
     symmetry S <-> V\\S covers the rest.  Ties between cuts with equal h
     are broken toward the lexicographically smallest representative.
 
-    Only the cuts of the top valuation V* (``_top_valuation_cuts``) are
-    compared, and that changes nothing.  A pruned ratio's valuation lies
-    below V* and below its own truncation order, so its difference from a
-    top ratio leads there, under both ratios' orders: the comparison is
-    decisive, never a tie, and the top cut wins it.  Among the top cuts
-    the best-cut updates, with their non-transitive ties, are those of the
-    full enumeration.
+    Only the cuts whose ratio has the least leading term
+    (``_leading_term_cuts``) are divided out and compared, and that changes
+    nothing.  A cut that loses on leading term differs from a kept cut
+    below both ratios' truncation orders: its ratio's valuation is lower,
+    or equal with a larger leading coefficient, and every leading term is
+    known.  So every comparison with it is decisive, and it loses each
+    one.  It therefore never becomes best once a kept cut has been seen,
+    never wins a tie, and the kept cuts see the same best-cut updates,
+    with their non-transitive ties, as the full enumeration.
     """
     if not g.is_connected():
         raise GraphValidationError("Cheeger constant needs a connected graph")
@@ -172,10 +155,11 @@ def cheeger_constant(g: OFGraph) -> CheegerCut:
     total = g.total_weight()
     edges = [(1 << g.index(x), 1 << g.index(y), w) for x, y, w in g.edges()]
 
-    masses = {0: zero()}
     best = None
-    for mask in _top_valuation_cuts(g, weights, total, edges):
-        mass_in = _mass(masses, weights, mask)
+    for mask in _leading_term_cuts(g, weights, total, edges):
+        inside = tuple(i for i in range(n) if mask >> i & 1)
+        outside = tuple(i for i in range(n) if not mask >> i & 1)
+        mass_in = sum((weights[i] for i in inside), zero())
         mass_out = total - mass_in
         boundary = None
         for bx, by, w in edges:
@@ -184,19 +168,15 @@ def cheeger_constant(g: OFGraph) -> CheegerCut:
 
         side = (mass_in - mass_out).sign()
         mass = mass_out if side > 0 else mass_in
-        tau = _ratio_order(boundary, mass)
-        diff = -1 if best is None else _cross_sign(boundary, mass, tau, *best[:3])
+        h = boundary * mass.inverse()
+        diff = -1 if best is None else (h - best.h).sign()
         if diff > 0:
             continue
-        inside = tuple(i for i in range(n) if mask >> i & 1)
-        outside = tuple(i for i in range(n) if not mask >> i & 1)
         indices = inside if side < 0 else outside if side > 0 else min(inside, outside)
-        if diff < 0 or indices < best[3]:
-            best = (boundary, mass, tau, indices)
-
-    boundary, mass, _, indices = best
-    return CheegerCut(subset=tuple(g.vertices[i] for i in indices),
-                      h=boundary * mass.inverse(), boundary=boundary, mass=mass)
+        if diff < 0 or indices < best_indices:
+            best, best_indices = CheegerCut(tuple(g.vertices[i] for i in indices),
+                                            h, boundary, mass), indices
+    return best
 
 
 def cheeger_inequality_check(g: OFGraph, spec: Spectrum, cut: CheegerCut) -> Report:
@@ -241,7 +221,7 @@ def cheeger_inequality_check(g: OFGraph, spec: Spectrum, cut: CheegerCut) -> Rep
     if g.is_complete():
         rep.add("alpha1-bound-noncomplete", None, "complete graph, not applicable")
     else:
-        ok = a1.sign() >= 0 and (a1.sign() <= 0 or (one_minus_h2 - a1 * a1).sign() >= 0)
+        ok = a1.sign() >= 0 and strong
         rep.add("alpha1-bound-noncomplete", ok,
                 f"0 <= alpha_1 and alpha_1^2 <= 1-h^2 with "
                 f"alpha_1 = {format_series(a1, digits=12)}")

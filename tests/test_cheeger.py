@@ -22,9 +22,7 @@ from lcgraph import (
     truncation,
     zero,
 )
-from lcgraph import cheeger
-from lcgraph.cheeger import _cross_sign, _ratio_order
-from corpus import random_graph, random_nonbipartite, random_weight, truncated_weight
+from corpus import random_graph, random_nonbipartite, truncated_weight
 
 FIG1 = "1 2 1\n2 3 1\n3 4 eps\n"
 FIG2 = "1 2 1\n2 3 eps\n3 4 1\n"
@@ -224,32 +222,26 @@ def test_cut_matches_per_subset_division(order):
             assert cut.mass.identical(mass), dump_graph(g)
 
 
-def _operand(rng):
-    w = rng.choice([random_weight, truncated_weight])(rng)
-    return w + random_weight(rng) if rng.random() < 0.5 else w
+def _least_lead_count(g):
+    # the number of masks whose h = b(dS)/mass has the least leading term,
+    # the largest leading exponent and then the smallest leading
+    # coefficient, each h found by its own division
+    n = g.n
+    total = g.total_weight()
+    leads = []
+    for mask in range(1, 1 << (n - 1)):
+        inside = {x for i, x in enumerate(g.vertices) if mask >> i & 1}
+        mass_in = sum((g.vertex_weight(x) for x in inside), start=zero())
+        mass_out = total - mass_in
+        boundary = sum((w for u, v, w in g.edges() if (u in inside) != (v in inside)),
+                       start=zero())
+        mass = mass_out if (mass_in - mass_out).sign() > 0 else mass_in
+        h = boundary * mass.inverse()
+        leads.append((-h.lead_exp, h.lead_coeff))
+    return leads.count(min(leads))
 
 
-def test_cross_sign_is_the_sign_of_the_ratio_difference():
-    rng = random.Random(43)
-    for order in (2, 3, 4, 16):
-        with truncation(order):
-            for _ in range(150):
-                b, m, k = (_operand(rng) for _ in range(3))
-                # half the rivals are the same ratio scaled by k: ties
-                if rng.random() < 0.5:
-                    rival = (b * k, m * k)
-                else:
-                    rival = (_operand(rng), _operand(rng))
-                b, m, bb, mb = (x.to_numeric() for x in (b, m) + rival) \
-                    if rng.random() < 0.3 else (b, m) + rival
-                tau, best_tau = _ratio_order(b, m), _ratio_order(bb, mb)
-                assert tau == (b * m.inverse()).trunc
-                want = (b * m.inverse() - bb * mb.inverse()).sign()
-                assert _cross_sign(b, m, tau, bb, mb, best_tau) == want, (b, m, bb, mb)
-
-
-def test_one_division_per_search(monkeypatch):
-    g = random_graph(random.Random(47), 8, 8)
+def _count_divisions(monkeypatch, g):
     calls = []
     inverse = LCNumber.inverse
 
@@ -258,8 +250,17 @@ def test_one_division_per_search(monkeypatch):
         return inverse(self)
 
     monkeypatch.setattr(LCNumber, "inverse", counted)
-    cheeger_constant(g)
-    assert len(calls) == 1
+    cut = cheeger_constant(g)
+    monkeypatch.undo()
+    return cut, len(calls)
+
+
+def test_one_division_per_search(monkeypatch):
+    # one division per cut with the least leading term: two on this draw,
+    # and four of the 511 cuts of a graph where all tie in valuation
+    for g in (random_graph(random.Random(47), 8, 8), _pruning_graphs()[0]):
+        want = _least_lead_count(g)
+        assert _count_divisions(monkeypatch, g)[1] == want, dump_graph(g)
 
 
 def _valuation_profile(g):
@@ -304,22 +305,15 @@ def test_first_zero_mass_cut_is_named():
 
 def test_search_compares_only_top_valuation_cuts(monkeypatch):
     # a path with one weak edge: only the cut at that edge has a ratio of
-    # valuation 2, so no other cut reaches the cross-multiplication
+    # valuation 2, so only that cut is divided out
     n = 8
     g = OFGraph.from_edges([(str(i), str(i + 1),
                              monomial(Fraction(3, 2), 2) if i == 4 else monomial(1))
                             for i in range(1, n)])
-    calls = []
-    cross_sign = cheeger._cross_sign
-
-    def counted(*args):
-        calls.append(args)
-        return cross_sign(*args)
-
-    monkeypatch.setattr(cheeger, "_cross_sign", counted)
-    cut = cheeger_constant(g)
+    assert _least_lead_count(g) == 1
+    cut, divisions = _count_divisions(monkeypatch, g)
     assert cut.subset == ("1", "2", "3", "4")
-    assert len(calls) == 0
+    assert divisions == 1
 
 
 def test_cut_is_invariant_under_scaling_every_weight():
